@@ -35,7 +35,21 @@
 /// the one-time code-emission cost (paid once per artifact, amortized like
 /// compile cost). bench_smoke.sh thresholds mode=native lines only, so
 /// NOJIT-forced or exec-restricted hosts skip cleanly.
+///
+/// A fourth, auto arm runs batches of width 1, 8 and 40 through the routed
+/// entry point (EvaluationBackendRegistry::Route with an empty name, as
+/// every serving path calls it) once routing has settled on this artifact,
+/// interleaved with the same batch on every registered backend by name,
+/// bit-checked like the others, reporting
+///
+///   ROUTESTAT workload=<w> batch=<n> auto=<name> best=<name> ratio=<r>
+///
+/// where ratio is the median over interleaved trials of the best explicit
+/// backend's trial time over the auto arm's (>= 1: routing found the
+/// fastest). It is a same-run ratio, so bench_smoke.sh gates ratio >= 0.9
+/// on every host.
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -197,6 +211,107 @@ bool RunJitArm(const Workload& w, const CompiledPolynomialSet& compiled,
   return all_equal;
 }
 
+double MedianOf(std::vector<double> values) {
+  std::sort(values.begin(), values.end());
+  return values[values.size() / 2];
+}
+
+/// The auto arm (see the file comment).
+bool RunRoutingArm(const Workload& w, const CompiledPolynomialSet& compiled,
+                   const std::vector<Valuation>& scenarios,
+                   const std::vector<std::vector<double>>& naive_results) {
+  const EvaluationBackendRegistry& registry =
+      EvaluationBackendRegistry::Default();
+  const size_t poly_count = compiled.poly_count();
+  bool all_equal = true;
+  for (size_t width : {size_t{1}, size_t{8}, size_t{40}}) {
+    if (width > scenarios.size()) continue;
+    std::vector<DenseValuation> dense;
+    for (size_t s = 0; s < width; ++s) {
+      dense.push_back(compiled.MaterializeValuation(scenarios[s]));
+    }
+    std::vector<const DenseValuation*> dense_ptrs(width);
+    std::vector<std::vector<double>> out(width,
+                                         std::vector<double>(poly_count));
+    std::vector<double*> out_ptrs(width);
+    for (size_t s = 0; s < width; ++s) {
+      dense_ptrs[s] = &dense[s];
+      out_ptrs[s] = out[s].data();
+    }
+    // One batch on the backend `name` names ("" = routed).
+    std::string routed_to;
+    auto batch = [&](const std::string& name) {
+      StatusOr<BackendRoute> route = registry.Route(name, compiled, width);
+      if (!route.ok()) return route.status();
+      if (name.empty()) routed_to = route->backend()->info().name;
+      return route->EvaluateBatch(compiled, 0, poly_count, dense_ptrs.data(),
+                                  out_ptrs.data(), width);
+    };
+    // Let routing finish its probe on this artifact and width first.
+    const size_t probe_bound = 2 * EvaluationBackendRegistry::kMaxProbeSamples *
+                               registry.Names().size();
+    for (size_t i = 0; i < probe_bound; ++i) {
+      StatusOr<BackendRoute> route = registry.Route("", compiled, width);
+      if (!route.ok() || !route->measuring()) break;
+      (void)route->EvaluateBatch(compiled, 0, poly_count, dense_ptrs.data(),
+                                 out_ptrs.data(), width);
+    }
+    std::vector<std::string> arms = registry.Names();
+    arms.push_back("");  // auto, last
+    // Repetitions per trial: ~2 ms of the fastest backend, so one trial is
+    // long against timer and scheduler noise.
+    double fastest_s = 1.0;
+    for (const std::string& name : arms) {
+      Timer once;
+      if (!batch(name).ok()) return false;
+      fastest_s = std::min(fastest_s, std::max(once.ElapsedSeconds(), 1e-7));
+    }
+    const int reps = static_cast<int>(std::min(5000.0, 2e-3 / fastest_s)) + 1;
+
+    // Trials alternate the arm order; each trial's arms run back to back,
+    // so a per-trial ratio compares like with like.
+    constexpr int kTrials = 15;
+    std::vector<std::vector<double>> trials(arms.size());
+    for (int t = 0; t < kTrials; ++t) {
+      for (size_t i = 0; i < arms.size(); ++i) {
+        const size_t a = t % 2 == 0 ? i : arms.size() - 1 - i;
+        Timer timer;
+        for (int r = 0; r < reps; ++r) {
+          Status status = batch(arms[a]);
+          if (!status.ok()) {
+            std::printf("ROUTE ERROR %s: %s\n", w.name.c_str(),
+                        status.ToString().c_str());
+            return false;
+          }
+        }
+        trials[a].push_back(timer.ElapsedSeconds());
+        if (arms[a].empty() && t == 0) {
+          for (size_t s = 0; s < width; ++s) {
+            if (!BitwiseEqual(naive_results[s], out[s])) {
+              std::printf("ROUTE MISMATCH in %s batch %zu scenario %zu\n",
+                          w.name.c_str(), width, s);
+              all_equal = false;
+            }
+          }
+        }
+      }
+    }
+    size_t best = 0;
+    for (size_t a = 1; a + 1 < arms.size(); ++a) {
+      if (MedianOf(trials[a]) < MedianOf(trials[best])) best = a;
+    }
+    std::vector<double> ratios;
+    for (int t = 0; t < kTrials; ++t) {
+      ratios.push_back(trials[best][t] / trials.back()[t]);
+    }
+    std::printf(
+        "ROUTESTAT workload=%s batch=%zu auto=%s best=%s ratio=%.2f\n",
+        w.name.c_str(), width, routed_to.c_str(), arms[best].c_str(),
+        MedianOf(ratios));
+  }
+  return all_equal;
+}
+
 bool Run() {
   PrintHeader("Evaluate kernel: naive vs compiled vs compiled+parallel");
   const size_t threads = std::thread::hardware_concurrency();
@@ -260,6 +375,9 @@ bool Run() {
       all_equal = false;
     }
     if (!RunBatchedArm(w, *compiled, scenarios, naive_results, t_compiled)) {
+      all_equal = false;
+    }
+    if (!RunRoutingArm(w, *compiled, scenarios, naive_results)) {
       all_equal = false;
     }
   }

@@ -1,9 +1,11 @@
 #include "core/compiled_polynomial_set.h"
 
+#include <algorithm>
 #include <atomic>
 #include <unordered_map>
 
 #include "common/macros.h"
+#include "core/evaluation_backend.h"
 #include "core/polynomial_set.h"
 #include "core/valuation.h"
 
@@ -27,8 +29,8 @@ CompiledPolynomialSet CompiledPolynomialSet::Compile(
 
   out.poly_offsets_.push_back(0);
   out.mono_offsets_.push_back(0);
-  // Build-time only: slots resolve through slot_vars_ afterwards, so the
-  // inverse map is not retained (cached compiled forms stay lean).
+  // Build-time only: the hash map is dropped after the walk; SlotOf keeps
+  // the lean sorted form of the same inverse mapping.
   std::unordered_map<VariableId, uint32_t> var_slots;
   for (const Polynomial& poly : polys.polynomials()) {
     for (const Monomial& m : poly.monomials()) {
@@ -47,7 +49,19 @@ CompiledPolynomialSet CompiledPolynomialSet::Compile(
     out.poly_offsets_.push_back(
         static_cast<uint32_t>(out.coefficients_.size()));
   }
+  out.slot_index_.assign(var_slots.begin(), var_slots.end());
+  std::sort(out.slot_index_.begin(), out.slot_index_.end());
+  out.route_memo_ = NewBackendRouteMemo();
   return out;
+}
+
+uint32_t CompiledPolynomialSet::SlotOf(VariableId var) const {
+  auto it = std::lower_bound(
+      slot_index_.begin(), slot_index_.end(), var,
+      [](const std::pair<VariableId, uint32_t>& entry, VariableId v) {
+        return entry.first < v;
+      });
+  return it != slot_index_.end() && it->first == var ? it->second : kNoSlot;
 }
 
 DenseValuation CompiledPolynomialSet::MaterializeValuation(
@@ -90,6 +104,7 @@ size_t CompiledPolynomialSet::ApproxBytes() const {
   bytes += factor_slots_.capacity() * sizeof(uint32_t);
   bytes += factor_exps_.capacity() * sizeof(uint32_t);
   bytes += slot_vars_.capacity() * sizeof(VariableId);
+  bytes += slot_index_.capacity() * sizeof(slot_index_[0]);
   return bytes;
 }
 

@@ -3,6 +3,8 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
+#include <utility>
 #include <vector>
 
 #include "core/variable.h"
@@ -12,6 +14,7 @@ namespace provabs {
 class PolynomialSet;
 class Valuation;
 class CompiledPolynomialSet;
+class BackendRouteMemo;  // core/evaluation_backend.h
 
 /// A Valuation materialized against one CompiledPolynomialSet: a flat
 /// slot-indexed value array, so the evaluation inner loop reads values by
@@ -94,6 +97,15 @@ class CompiledPolynomialSet {
   /// slot -> VariableId, in slot order.
   const std::vector<VariableId>& slot_variables() const { return slot_vars_; }
 
+  /// Returned by SlotOf for a variable the set never mentions.
+  static constexpr uint32_t kNoSlot = 0xFFFFFFFFu;
+
+  /// VariableId -> slot, or kNoSlot when no monomial of the set has the
+  /// variable as a factor (the same membership as PolynomialSet::Variables,
+  /// without scanning the monomials). O(log slots) against an index built
+  /// once by Compile.
+  uint32_t SlotOf(VariableId var) const;
+
   /// Process-unique id of this compiled form, assigned by `Compile` (0 only
   /// for a default-constructed instance). Two forms compiled from
   /// identical polynomials still get distinct fingerprints: the fingerprint
@@ -168,6 +180,15 @@ class CompiledPolynomialSet {
   /// Rough resident size, for the serving layer's byte-budget accounting.
   size_t ApproxBytes() const;
 
+  /// Auto-routing's memo for this snapshot (core/evaluation_backend.h):
+  /// which backend measured fastest for each batch-width class. Created by
+  /// Compile, shared by copies (they are the same snapshot, fingerprint
+  /// included) and freed with the last of them. Routing state, not part of
+  /// the compiled value: null for a default-constructed instance.
+  const std::shared_ptr<BackendRouteMemo>& route_memo() const {
+    return route_memo_;
+  }
+
  private:
   std::vector<uint32_t> poly_offsets_;  // size poly_count()+1
   std::vector<uint32_t> mono_offsets_;  // size monomial_count()+1
@@ -175,7 +196,10 @@ class CompiledPolynomialSet {
   std::vector<uint32_t> factor_slots_;  // per factor
   std::vector<uint32_t> factor_exps_;   // per factor
   std::vector<VariableId> slot_vars_;   // slot -> variable
+  // (variable, slot) sorted by variable: SlotOf's index.
+  std::vector<std::pair<VariableId, uint32_t>> slot_index_;
   uint64_t fingerprint_ = 0;            // see fingerprint()
+  std::shared_ptr<BackendRouteMemo> route_memo_;
 };
 
 }  // namespace provabs

@@ -1,6 +1,8 @@
 #include "core/evaluation_backend.h"
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <utility>
 
@@ -53,51 +55,7 @@ Status EvaluationBackend::EvaluateBatch(const CompiledPolynomialSet& compiled,
   return Status::OK();
 }
 
-// ------------------------------------------------- builtin: naive ------
-
 namespace {
-
-/// Scalar reference interpreter: scenario-major, one polynomial at a time,
-/// written out longhand (not delegating to EvaluateOne) so the registry
-/// always contains an independent implementation of the canonical
-/// summation order for the differential battery to compare against.
-class NaiveBackend : public EvaluationBackend {
- public:
-  const EvaluationBackendInfo& info() const override {
-    static const EvaluationBackendInfo kInfo{
-        "naive", "scalar reference interpreter, one scenario at a time",
-        /*vectorized=*/false, /*deterministic=*/true, /*preferred_batch=*/1,
-        /*tier=*/0};
-    return kInfo;
-  }
-
- protected:
-  void DoEvaluateBatch(const CompiledPolynomialSet& compiled,
-                       size_t poly_begin, size_t poly_end,
-                       const DenseValuation* const* scenarios,
-                       double* const* outs,
-                       size_t scenario_count) const override {
-    const CompiledPolynomialSet::CsrView csr = compiled.csr();
-    for (size_t s = 0; s < scenario_count; ++s) {
-      const double* values = scenarios[s]->data();
-      double* out = outs[s];
-      for (size_t p = poly_begin; p < poly_end; ++p) {
-        double total = 0.0;
-        for (uint32_t m = csr.poly_offsets[p]; m < csr.poly_offsets[p + 1];
-             ++m) {
-          double term = csr.coefficients[m];
-          for (uint32_t f = csr.mono_offsets[m]; f < csr.mono_offsets[m + 1];
-               ++f) {
-            const double v = values[csr.factor_slots[f]];
-            for (uint32_t e = 0; e < csr.factor_exps[f]; ++e) term *= v;
-          }
-          total += term;
-        }
-        out[p - poly_begin] = total;
-      }
-    }
-  }
-};
 
 // ------------------------------------------------- builtin: compiled ----
 
@@ -109,8 +67,7 @@ class CompiledBackend : public EvaluationBackend {
   const EvaluationBackendInfo& info() const override {
     static const EvaluationBackendInfo kInfo{
         "compiled", "single-scenario CSR kernel (compiled evaluation)",
-        /*vectorized=*/false, /*deterministic=*/true, /*preferred_batch=*/1,
-        /*tier=*/1};
+        /*vectorized=*/false, /*deterministic=*/true, /*preferred_batch=*/1};
     return kInfo;
   }
 
@@ -224,8 +181,7 @@ const EvaluationBackendInfo& SimdBatchBackend::info() const {
       "simd_batch",
       "structure-of-arrays scenario lanes over the CSR arrays "
       "(AVX2 when available, scalar lanes otherwise)",
-      /*vectorized=*/true, /*deterministic=*/true, /*preferred_batch=*/8,
-      /*tier=*/2};
+      /*vectorized=*/true, /*deterministic=*/true, /*preferred_batch=*/8};
   return kInfo;
 }
 
@@ -270,7 +226,135 @@ void SimdBatchBackend::DoEvaluateBatch(const CompiledPolynomialSet& compiled,
   }
 }
 
+// ------------------------------------------------- routing --------------
+
+namespace {
+
+/// Registry routing ids are process-unique, so a memo never mistakes a
+/// new registry (or a re-registered one) for the one it measured.
+uint64_t NextRoutingId() {
+  static std::atomic<uint64_t> next{1};
+  return next.fetch_add(1, std::memory_order_relaxed);
+}
+
+/// Batch-width classes: single scenarios, small coalesced groups, and
+/// batches wide enough to fill SIMD lanes.
+size_t WidthClassOf(size_t batch_size) {
+  return batch_size <= 1 ? 0 : batch_size < 8 ? 1 : 2;
+}
+
+}  // namespace
+
+/// For each batch-width class: the candidates' probe timings and, once
+/// every candidate is measured, the backend that won.
+class BackendRouteMemo {
+ public:
+  struct Candidate {
+    const EvaluationBackend* backend = nullptr;
+    uint32_t samples = 0;
+    uint64_t probe_ns = 0;              ///< Summed time of the samples.
+    double best_ns_per_scenario = 0.0;  ///< Fastest sample; valid if samples.
+    bool dropped = false;               ///< AvailableFor() turned false.
+
+    /// kProbeSamples batches and kProbeNanos of kernel time, or
+    /// kMaxProbeSamples batches: short batches time mostly noise, so they
+    /// keep sampling until their best means something.
+    bool Measured() const {
+      using Registry = EvaluationBackendRegistry;
+      return samples >= Registry::kMaxProbeSamples ||
+             (samples >= Registry::kProbeSamples &&
+              probe_ns >= Registry::kProbeNanos);
+    }
+  };
+  struct WidthClass {
+    /// EvaluationBackendRegistry::routing_id_ the candidates came from; a
+    /// different registry (or one that registered a backend since) starts
+    /// the class over.
+    uint64_t routing_id = 0;
+    std::vector<Candidate> candidates;
+    size_t next = 0;          ///< Candidate whose probe block comes next.
+    size_t current = 0;       ///< Candidate of the block in progress.
+    uint32_t block_left = 0;  ///< Batches left in that block.
+    const EvaluationBackend* chosen = nullptr;
+  };
+
+  std::mutex mutex;
+  WidthClass classes[3];  // indexed by WidthClassOf
+};
+
+std::shared_ptr<BackendRouteMemo> NewBackendRouteMemo() {
+  return std::make_shared<BackendRouteMemo>();
+}
+
+struct BackendRoute::Probe {
+  std::shared_ptr<BackendRouteMemo> memo;
+  uint64_t routing_id = 0;
+  size_t width_class = 0;
+  size_t candidate = 0;
+  size_t batch_size = 0;
+  bool counted = true;  ///< False for the first batch of a probe block.
+  std::atomic<uint64_t> ns{0};
+  std::atomic<bool> ran{false};
+  std::atomic<bool> failed{false};
+};
+
+BackendRoute::BackendRoute(const EvaluationBackend* backend)
+    : backend_(backend) {}
+
+BackendRoute::BackendRoute(BackendRoute&& other) noexcept
+    : backend_(other.backend_), probe_(std::move(other.probe_)) {}
+
+BackendRoute::~BackendRoute() {
+  // Records a probe that ran cleanly on the snapshot's memo.
+  if (probe_ == nullptr || !probe_->counted ||
+      !probe_->ran.load(std::memory_order_relaxed) ||
+      probe_->failed.load(std::memory_order_relaxed)) {
+    return;
+  }
+  BackendRouteMemo& memo = *probe_->memo;
+  std::lock_guard<std::mutex> lock(memo.mutex);
+  BackendRouteMemo::WidthClass& wc = memo.classes[probe_->width_class];
+  // A class that restarted (new registry) or settled meanwhile ignores
+  // late samples.
+  if (wc.routing_id != probe_->routing_id || wc.chosen != nullptr) return;
+  BackendRouteMemo::Candidate& c = wc.candidates[probe_->candidate];
+  const uint64_t ns = probe_->ns.load(std::memory_order_relaxed);
+  const double per_scenario =
+      static_cast<double>(ns) / static_cast<double>(probe_->batch_size);
+  if (c.samples == 0 || per_scenario < c.best_ns_per_scenario) {
+    c.best_ns_per_scenario = per_scenario;
+  }
+  ++c.samples;
+  c.probe_ns += ns;
+}
+
+Status BackendRoute::EvaluateBatch(const CompiledPolynomialSet& compiled,
+                                   size_t poly_begin, size_t poly_end,
+                                   const DenseValuation* const* scenarios,
+                                   double* const* outs,
+                                   size_t scenario_count) const {
+  if (probe_ == nullptr) {
+    return backend_->EvaluateBatch(compiled, poly_begin, poly_end, scenarios,
+                                   outs, scenario_count);
+  }
+  const auto start = std::chrono::steady_clock::now();
+  Status status = backend_->EvaluateBatch(compiled, poly_begin, poly_end,
+                                          scenarios, outs, scenario_count);
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  probe_->ns.fetch_add(
+      static_cast<uint64_t>(
+          std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed)
+              .count()),
+      std::memory_order_relaxed);
+  probe_->ran.store(true, std::memory_order_relaxed);
+  if (!status.ok()) probe_->failed.store(true, std::memory_order_relaxed);
+  return status;
+}
+
 // ------------------------------------------------- registry -------------
+
+EvaluationBackendRegistry::EvaluationBackendRegistry()
+    : routing_id_(NextRoutingId()) {}
 
 EvaluationBackendRegistry& EvaluationBackendRegistry::Default() {
   static EvaluationBackendRegistry* registry = [] {
@@ -300,6 +384,7 @@ Status EvaluationBackendRegistry::Register(
     return Status::InvalidArgument("evaluation backend '" + name +
                                    "' is already registered");
   }
+  routing_id_.store(NextRoutingId(), std::memory_order_release);
   return Status::OK();
 }
 
@@ -322,52 +407,98 @@ StatusOr<const EvaluationBackend*> EvaluationBackendRegistry::Resolve(
 
 StatusOr<const EvaluationBackend*> EvaluationBackendRegistry::ResolveForBatch(
     const std::string& name, size_t batch_size) const {
+  (void)batch_size;
   if (!name.empty()) return Resolve(name);
   std::lock_guard<std::mutex> lock(mutex_);
   if (by_name_.empty()) {
     return Status::InvalidArgument("no evaluation backends registered");
   }
-  // Highest available tier among backends that already pay off at this
-  // batch size: jit > simd_batch > compiled > naive with the built-ins.
-  // (The old policy considered only vectorized backends, which would
-  // leave the jit tier unreachable by auto-routing.) Ties break toward
-  // the larger preferred width, then the lexicographically smallest name,
-  // so routing never depends on map iteration order of future backends.
-  const EvaluationBackend* best = nullptr;
-  const std::string* best_name = nullptr;
-  for (const auto& [key, backend] : by_name_) {
-    const EvaluationBackendInfo& info = backend->info();
-    if (info.preferred_batch > batch_size || !backend->Available()) continue;
-    if (best == nullptr) {
-      best = backend.get();
-      best_name = &key;
-      continue;
-    }
-    const EvaluationBackendInfo& incumbent = best->info();
-    if (info.tier != incumbent.tier) {
-      if (info.tier > incumbent.tier) {
-        best = backend.get();
-        best_name = &key;
+  auto it = by_name_.find("compiled");
+  if (it == by_name_.end()) it = by_name_.begin();
+  return static_cast<const EvaluationBackend*>(it->second.get());
+}
+
+StatusOr<BackendRoute> EvaluationBackendRegistry::Route(
+    const std::string& name, const CompiledPolynomialSet& compiled,
+    size_t batch_size) const {
+  const std::shared_ptr<BackendRouteMemo>& memo = compiled.route_memo();
+  if (!name.empty() || memo == nullptr || batch_size == 0) {
+    StatusOr<const EvaluationBackend*> backend =
+        ResolveForBatch(name, batch_size);
+    if (!backend.ok()) return backend.status();
+    return BackendRoute(*backend);
+  }
+  // Lock order: memo, then registry (nothing takes them the other way).
+  std::lock_guard<std::mutex> memo_lock(memo->mutex);
+  const size_t width_class = WidthClassOf(batch_size);
+  BackendRouteMemo::WidthClass& wc = memo->classes[width_class];
+  if (wc.routing_id != routing_id_.load(std::memory_order_acquire)) {
+    std::lock_guard<std::mutex> lock(mutex_);
+    wc = BackendRouteMemo::WidthClass{};
+    wc.routing_id = routing_id_.load(std::memory_order_relaxed);
+    for (const auto& [key, backend] : by_name_) {
+      if (backend->Available()) {
+        wc.candidates.emplace_back();
+        wc.candidates.back().backend = backend.get();
       }
-      continue;
-    }
-    if (info.preferred_batch != incumbent.preferred_batch) {
-      if (info.preferred_batch > incumbent.preferred_batch) {
-        best = backend.get();
-        best_name = &key;
-      }
-      continue;
-    }
-    if (key < *best_name) {
-      best = backend.get();
-      best_name = &key;
     }
   }
-  if (best != nullptr) return best;
-  auto it = by_name_.find("compiled");
-  if (it != by_name_.end()) return static_cast<const EvaluationBackend*>(
-      it->second.get());
-  return static_cast<const EvaluationBackend*>(by_name_.begin()->second.get());
+  if (wc.chosen != nullptr) return BackendRoute(wc.chosen);
+
+  size_t live = 0;
+  bool all_measured = true;
+  for (BackendRouteMemo::Candidate& c : wc.candidates) {
+    if (!c.dropped && !c.backend->AvailableFor(compiled)) c.dropped = true;
+    if (c.dropped) continue;
+    ++live;
+    all_measured = all_measured && c.Measured();
+  }
+  // Probe in blocks of consecutive batches, round-robin over EVERY live
+  // candidate until all are measured: consecutive batches run a candidate
+  // as warm as it will run once chosen, and interleaving the blocks times
+  // every candidate under the same conditions. A block's first batch
+  // (cold, or carrying a one-time cost such as the jit's emission) is not
+  // counted.
+  if (live > 1 && !all_measured) {
+    const size_t n = wc.candidates.size();
+    if (wc.block_left == 0 || wc.candidates[wc.current].dropped) {
+      while (wc.candidates[wc.next % n].dropped) ++wc.next;
+      wc.current = wc.next % n;
+      ++wc.next;
+      wc.block_left = kProbeBlock;
+    }
+    --wc.block_left;
+    StatusOr<BackendRoute> route{
+        BackendRoute(wc.candidates[wc.current].backend)};
+    auto probe = std::make_unique<BackendRoute::Probe>();
+    probe->memo = memo;
+    probe->routing_id = wc.routing_id;
+    probe->width_class = width_class;
+    probe->candidate = wc.current;
+    probe->batch_size = batch_size;
+    probe->counted = wc.block_left + 1 < kProbeBlock;
+    route->probe_ = std::move(probe);
+    return route;
+  }
+  // Every live candidate is measured (or only one is left): settle on the
+  // fastest. Ties keep the earlier (name-sorted) candidate.
+  const BackendRouteMemo::Candidate* best = nullptr;
+  for (const BackendRouteMemo::Candidate& c : wc.candidates) {
+    if (c.dropped) continue;
+    if (best == nullptr ||
+        c.best_ns_per_scenario < best->best_ns_per_scenario) {
+      best = &c;
+    }
+  }
+  if (best != nullptr) wc.chosen = best->backend;
+  if (wc.chosen == nullptr) {
+    // Nothing is available for this snapshot: the snapshot-free default.
+    StatusOr<const EvaluationBackend*> fallback =
+        ResolveForBatch("", batch_size);
+    if (!fallback.ok()) return fallback.status();
+    wc.chosen = *fallback;
+  }
+  return BackendRoute(wc.chosen);
 }
 
 std::vector<std::string> EvaluationBackendRegistry::Names() const {
@@ -400,9 +531,7 @@ std::string EvaluationBackendRegistry::NamesCsv() const {
 
 Status RegisterBuiltinEvaluationBackends(
     EvaluationBackendRegistry& registry) {
-  Status s = registry.Register(std::make_unique<NaiveBackend>());
-  if (!s.ok()) return s;
-  s = registry.Register(std::make_unique<CompiledBackend>());
+  Status s = registry.Register(std::make_unique<CompiledBackend>());
   if (!s.ok()) return s;
   s = registry.Register(std::make_unique<SimdBatchBackend>());
   if (!s.ok()) return s;
@@ -417,11 +546,11 @@ StatusOr<std::vector<std::vector<double>>> EvaluateScenarios(
     const EvaluationBackendRegistry* registry) {
   const EvaluationBackendRegistry& reg =
       registry != nullptr ? *registry : EvaluationBackendRegistry::Default();
-  StatusOr<const EvaluationBackend*> backend =
-      reg.ResolveForBatch(backend_name, scenarios.size());
-  if (!backend.ok()) return backend.status();
-
   std::shared_ptr<const CompiledPolynomialSet> compiled = polys.Compiled();
+  StatusOr<BackendRoute> route =
+      reg.Route(backend_name, *compiled, scenarios.size());
+  if (!route.ok()) return route.status();
+
   const size_t n = scenarios.size();
   std::vector<std::vector<double>> out(
       n, std::vector<double>(compiled->poly_count()));
@@ -434,9 +563,8 @@ StatusOr<std::vector<std::vector<double>>> EvaluateScenarios(
     dense_ptrs[s] = &dense[s];
     out_ptrs[s] = out[s].data();
   }
-  Status status =
-      (*backend)->EvaluateBatch(*compiled, 0, compiled->poly_count(),
-                                dense_ptrs.data(), out_ptrs.data(), n);
+  Status status = route->EvaluateBatch(*compiled, 0, compiled->poly_count(),
+                                       dense_ptrs.data(), out_ptrs.data(), n);
   if (!status.ok()) return status;
   return out;
 }

@@ -1,6 +1,7 @@
 #ifndef PROVABS_CORE_EVALUATION_BACKEND_H_
 #define PROVABS_CORE_EVALUATION_BACKEND_H_
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <map>
@@ -26,10 +27,11 @@ class Valuation;
 /// to make per-answer work sublinear. This header is the seam through which
 /// every evaluation path (Valuation::EvaluateAll, ParallelEvaluateAll, the
 /// serving EvaluateBatcher, the CLI, the benches) selects a strategy by
-/// name, exactly how algo/compressor.h routes compression: adding a backend
-/// means registering one adapter, and the cross-backend differential
-/// battery gates it for free — the route the per-artifact JIT
-/// (jit/jit_backend.h) arrived through.
+/// name — exactly how algo/compressor.h routes compression — or lets
+/// EvaluationBackendRegistry::Route pick the one measured fastest on the
+/// snapshot at hand. Adding a backend means registering one adapter, and
+/// the cross-backend differential battery gates it for free — the route
+/// the per-artifact JIT (jit/jit_backend.h) arrived through.
 ///
 /// Every backend MUST reproduce the canonical summation order documented on
 /// Valuation::Evaluate operation-for-operation, so results are BITWISE
@@ -48,15 +50,9 @@ struct EvaluationBackendInfo {
   bool vectorized = false;
   /// Same inputs always yield the same bits (all built-ins).
   bool deterministic = false;
-  /// Batch width from which this backend beats the single-scenario kernel;
-  /// auto-routing only considers it for batches >= this width. 1 = no
-  /// batching requirement.
+  /// Batch width the backend is designed for (1 = no batching
+  /// requirement). Advisory only: auto-routing measures instead.
   uint32_t preferred_batch = 1;
-  /// Speed tier for auto-routing: among eligible (preferred_batch) and
-  /// available backends the HIGHEST tier wins. Built-ins: naive=0,
-  /// compiled=1, simd_batch=2, jit=3 — the jit > simd_batch > compiled
-  /// preference order ResolveForBatch documents.
-  uint32_t tier = 0;
 };
 
 /// One evaluation strategy. Implementations must be stateless and
@@ -68,13 +64,20 @@ class EvaluationBackend {
 
   virtual const EvaluationBackendInfo& info() const = 0;
 
-  /// Whether this backend can currently deliver its advertised tier. The
-  /// auto policy skips unavailable backends; explicit selection by name
-  /// still works (an unavailable backend must degrade internally, not
-  /// fail). The jit backend reports false when executable memory is
-  /// unavailable or PROVABS_EVAL_FORCE_NOJIT is set; everything else is
-  /// unconditionally available.
+  /// Whether auto-routing should consider this backend at all. Explicit
+  /// selection by name still works when false (an unavailable backend must
+  /// degrade internally, not fail). The jit backend reports false when
+  /// executable memory is unavailable or PROVABS_EVAL_FORCE_NOJIT is set;
+  /// everything else is unconditionally available.
   virtual bool Available() const { return true; }
+
+  /// Available() for one snapshot: a backend that already knows it cannot
+  /// serve `compiled` well (the jit after a failed emission) reports false,
+  /// and routing drops it from that snapshot's candidates.
+  virtual bool AvailableFor(const CompiledPolynomialSet& compiled) const {
+    (void)compiled;
+    return Available();
+  }
 
   /// Evaluates polynomials [poly_begin, poly_end) of `compiled` under each
   /// of `scenarios[0..scenario_count)`; writes
@@ -100,11 +103,51 @@ class EvaluationBackend {
                                size_t scenario_count) const = 0;
 };
 
+/// Auto-routing's per-snapshot memo (see EvaluationBackendRegistry::Route),
+/// owned by CompiledPolynomialSet::route_memo(). Opaque outside routing.
+class BackendRouteMemo;
+
+/// A fresh, empty memo; CompiledPolynomialSet::Compile attaches one to
+/// every snapshot.
+std::shared_ptr<BackendRouteMemo> NewBackendRouteMemo();
+
+/// One routing decision from EvaluationBackendRegistry::Route. Callers run
+/// every piece of the batch through EvaluateBatch() — from several pool
+/// workers at once if they chunk the polynomial range. While the
+/// snapshot's width class is still being measured, those calls are timed
+/// and the destructor records their sum (CPU time, so chunking does not
+/// flatter any backend) on the snapshot's memo. Move-only.
+class BackendRoute {
+ public:
+  explicit BackendRoute(const EvaluationBackend* backend);
+  BackendRoute(BackendRoute&& other) noexcept;
+  BackendRoute& operator=(BackendRoute&&) = delete;
+  ~BackendRoute();
+
+  /// The backend this batch runs on; its name is what a response reports.
+  const EvaluationBackend* backend() const { return backend_; }
+
+  /// True while this batch is a timed probe rather than a settled choice.
+  bool measuring() const { return probe_ != nullptr; }
+
+  /// backend()->EvaluateBatch, timed while measuring. Thread-safe.
+  Status EvaluateBatch(const CompiledPolynomialSet& compiled,
+                       size_t poly_begin, size_t poly_end,
+                       const DenseValuation* const* scenarios,
+                       double* const* outs, size_t scenario_count) const;
+
+ private:
+  friend class EvaluationBackendRegistry;
+  struct Probe;
+
+  const EvaluationBackend* backend_;
+  std::unique_ptr<Probe> probe_;
+};
+
 /// Name -> backend registry, mirroring CompressorRegistry. `Default()` is
-/// the process-wide instance pre-populated with the four built-ins:
+/// the process-wide instance pre-populated with the three built-ins:
 ///
-///   naive      — scalar reference interpreter, one scenario at a time
-///   compiled   — PR 5's CSR kernel (flat-array walks), one scenario at a
+///   compiled   — the CSR kernel (flat-array walks), one scenario at a
 ///                time; the single-scenario baseline
 ///   simd_batch — transposes the batch into structure-of-arrays lanes and
 ///                walks the CSR arrays ONCE per polynomial for all lanes;
@@ -115,11 +158,14 @@ class EvaluationBackend {
 ///                compiled-form fingerprint; degrades to the compiled
 ///                kernel where executable memory is unavailable
 ///
+/// The test oracle is not a backend: it is per-polynomial
+/// Valuation::Evaluate, which every backend must match bit for bit.
+///
 /// Thread-safe; registered backends live for the registry's lifetime.
 class EvaluationBackendRegistry {
  public:
   /// An empty registry (for tests and embedders composing their own set).
-  EvaluationBackendRegistry() = default;
+  EvaluationBackendRegistry();
 
   EvaluationBackendRegistry(const EvaluationBackendRegistry&) = delete;
   EvaluationBackendRegistry& operator=(const EvaluationBackendRegistry&) =
@@ -132,6 +178,8 @@ class EvaluationBackendRegistry {
   /// Registers a backend under its info().name. Duplicate names are
   /// rejected (kInvalidArgument) — silently replacing a backend another
   /// subsystem already resolved would change the bits under its feet.
+  /// Snapshots routed before a registration measure again afterwards, so
+  /// the newcomer gets its probe.
   Status Register(std::unique_ptr<EvaluationBackend> backend);
 
   /// nullptr when no backend of that name is registered.
@@ -140,16 +188,45 @@ class EvaluationBackendRegistry {
   /// Find() with a useful failure: the error lists every registered name.
   StatusOr<const EvaluationBackend*> Resolve(const std::string& name) const;
 
-  /// Auto-routing policy shared by every evaluation path: an explicit
-  /// `name` resolves strictly; an empty name picks the HIGHEST-tier
-  /// backend among those that are Available() and whose preferred_batch
-  /// <= `batch_size` — with the built-ins, jit > simd_batch > compiled
-  /// (and jit force-disabled or without executable memory degrades to
-  /// simd_batch for batches, compiled for single scenarios). Ties break
-  /// toward the larger preferred_batch, then lexicographically smallest
-  /// name, so routing is deterministic. Falls back to "compiled" when
-  /// nothing is eligible (and to any registered backend if "compiled" was
-  /// not registered — an empty registry is the only hard failure).
+  /// The routing entry point every evaluation path goes through (the
+  /// serving batcher, EvaluateScenarios, Valuation::EvaluateAll, the
+  /// parallel helpers and the CLI). An explicit `name` resolves strictly.
+  /// An empty name picks the backend measured fastest on THIS snapshot for
+  /// the width class of `batch_size` (1, 2-7, >= 8):
+  ///
+  ///   - the first batches of a class are probes: blocks of kProbeBlock
+  ///     consecutive batches go round-robin to each Available() candidate
+  ///     until every one is measured — at least kProbeSamples counted
+  ///     batches (a block's first is not counted) and kProbeNanos of kernel
+  ///     time, or kMaxProbeSamples batches (a candidate whose
+  ///     AvailableFor(compiled) turns false, like the jit after a failed
+  ///     emission, is dropped);
+  ///   - the candidate with the lowest best time per scenario then becomes
+  ///     the class's choice, recorded on compiled.route_memo() and used for
+  ///     every later batch without further timing.
+  ///
+  /// Backends are bitwise identical, so neither probing nor the choice can
+  /// change a value. Without a memo (a default-constructed snapshot) or
+  /// for an empty batch, returns ResolveForBatch("", batch_size).
+  StatusOr<BackendRoute> Route(const std::string& name,
+                               const CompiledPolynomialSet& compiled,
+                               size_t batch_size) const;
+
+  /// Probe budget per candidate (see Route). Blocks keep a candidate's
+  /// code and data warm, as they are once it is chosen; comparing the best
+  /// of several samples keeps scheduler noise out of the choice, and the
+  /// time floor gives microsecond-sized batches enough samples for their
+  /// best to mean something.
+  static constexpr uint32_t kProbeBlock = 4;
+  static constexpr uint32_t kProbeSamples = 3;
+  static constexpr uint64_t kProbeNanos = 200'000;
+  static constexpr uint32_t kMaxProbeSamples = 64;
+
+  /// The snapshot-free policy: an explicit `name` resolves strictly; an
+  /// empty name returns "compiled" (or any registered backend if "compiled"
+  /// is not registered — an empty registry is the only hard failure).
+  /// `batch_size` is accepted for callers that have no snapshot to route
+  /// on and does not change the answer.
   StatusOr<const EvaluationBackend*> ResolveForBatch(const std::string& name,
                                                      size_t batch_size) const;
 
@@ -159,12 +236,15 @@ class EvaluationBackendRegistry {
   /// Capability records in name-sorted order (the ListBackends payload).
   std::vector<EvaluationBackendInfo> Infos() const;
 
-  /// "compiled, naive, simd_batch" — for error and usage text.
+  /// "compiled, jit, simd_batch" — for error and usage text.
   std::string NamesCsv() const;
 
  private:
   mutable std::mutex mutex_;
   std::map<std::string, std::unique_ptr<EvaluationBackend>> by_name_;
+  /// Process-unique; redrawn by every Register (see BackendRouteMemo).
+  /// Written under mutex_, read without it on the routing fast path.
+  std::atomic<uint64_t> routing_id_;
 };
 
 /// Registers the built-in backends into `registry`. Default() calls this on
@@ -207,7 +287,7 @@ class SimdBatchBackend : public EvaluationBackend {
 
 /// Convenience entry point for multi-scenario evaluation: compiles (cached
 /// on the set), materializes every scenario, and routes the whole batch
-/// through `ResolveForBatch(backend_name, scenarios.size())` against
+/// through `Route(backend_name, compiled, scenarios.size())` against
 /// `registry` (Default() when null). Returns one value vector per scenario,
 /// each bitwise identical to Valuation::Evaluate per polynomial. Unknown
 /// backend names fail listing the registered set.

@@ -26,22 +26,19 @@ double Valuation::Evaluate(const Polynomial& poly) const {
 
 std::vector<double> Valuation::EvaluateAll(const PolynomialSet& polys) const {
   // Routed through the backend registry so a single scenario and a served
-  // batch exercise the same entry point; the registry's auto policy picks
-  // the highest available tier (the per-artifact "jit" code when
-  // executable memory is usable, the "compiled" kernel otherwise) — every
-  // backend is bitwise identical by contract, so the choice never changes
-  // the result.
+  // batch exercise the same entry point: the backend measured fastest on
+  // this snapshot for single scenarios. Every backend is bitwise identical
+  // by contract, so the choice never changes the result.
   std::shared_ptr<const CompiledPolynomialSet> compiled = polys.Compiled();
   DenseValuation dense = compiled->MaterializeValuation(*this);
   std::vector<double> out(compiled->poly_count());
-  StatusOr<const EvaluationBackend*> backend =
-      EvaluationBackendRegistry::Default().ResolveForBatch("", 1);
-  PROVABS_CHECK(backend.ok());
+  StatusOr<BackendRoute> route =
+      EvaluationBackendRegistry::Default().Route("", *compiled, 1);
+  PROVABS_CHECK(route.ok());
   const DenseValuation* scenario = &dense;
   double* out_ptr = out.data();
-  Status status = (*backend)->EvaluateBatch(*compiled, 0,
-                                            compiled->poly_count(), &scenario,
-                                            &out_ptr, 1);
+  Status status = route->EvaluateBatch(*compiled, 0, compiled->poly_count(),
+                                       &scenario, &out_ptr, 1);
   PROVABS_CHECK(status.ok());
   return out;
 }

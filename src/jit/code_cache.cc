@@ -25,19 +25,15 @@ StatusOr<std::shared_ptr<const JitModule>> JitCodeCache::GetOrEmit(
     lru_.splice(lru_.begin(), lru_, it->second.lru_it);
     return it->second.module;
   }
+  auto failed = failed_.find(fingerprint);
+  if (failed != failed_.end()) return failed->second;
   ++misses_;
   StatusOr<GeneratedCode> generated =
       GeneratePolynomialSetCode(compiled, max_code_bytes_);
-  if (!generated.ok()) {
-    ++emit_failures_;
-    return generated.status();
-  }
+  if (!generated.ok()) return RememberFailure(fingerprint, generated.status());
   StatusOr<std::unique_ptr<ExecArena>> arena =
       ExecArena::Create(generated->code.data(), generated->code.size());
-  if (!arena.ok()) {
-    ++emit_failures_;
-    return arena.status();
-  }
+  if (!arena.ok()) return RememberFailure(fingerprint, arena.status());
   auto module = std::make_shared<const JitModule>(
       fingerprint, std::move(*arena), std::move(generated->entry_offsets),
       generated->range_entry);
@@ -46,6 +42,22 @@ StatusOr<std::shared_ptr<const JitModule>> JitCodeCache::GetOrEmit(
   entries_.emplace(fingerprint, Entry{module, lru_.begin()});
   EvictToBudget();
   return module;
+}
+
+Status JitCodeCache::RememberFailure(uint64_t fingerprint, Status status) {
+  ++emit_failures_;
+  if (failed_order_.size() == kRememberedFailures) {
+    failed_.erase(failed_order_.front());
+    failed_order_.pop_front();
+  }
+  failed_.emplace(fingerprint, status);
+  failed_order_.push_back(fingerprint);
+  return status;
+}
+
+bool JitCodeCache::EmitFailed(uint64_t fingerprint) const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return failed_.count(fingerprint) != 0;
 }
 
 bool JitCodeCache::Invalidate(uint64_t fingerprint) {

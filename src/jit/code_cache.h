@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <deque>
 #include <list>
 #include <memory>
 #include <mutex>
@@ -83,7 +84,9 @@ class JitModule {
 /// Thread-safe. Emission runs under the cache lock: racing first-callers
 /// for one snapshot would otherwise both pay mmap + emission and one
 /// mapping would be thrown away; serializing them costs the second caller
-/// a wait shorter than its own redundant emission.
+/// a wait shorter than its own redundant emission. A failed emission is
+/// remembered by fingerprint, so a snapshot that cannot be emitted costs
+/// one attempt, not one per batch spent holding the lock.
 class JitCodeCache {
  public:
   /// Default per-set emitted-code cap (see GeneratePolynomialSetCode).
@@ -106,9 +109,18 @@ class JitCodeCache {
   /// Returns the module for `compiled`, emitting and mapping it on first
   /// use. Failure (exec memory unavailable, per-set code cap, disp32
   /// overflow) is returned as a Status for the backend to count and fall
-  /// back on; nothing is cached for a failed emission.
+  /// back on; the failure is remembered (for the most recent
+  /// kRememberedFailures fingerprints), and later calls for the same
+  /// snapshot return it without another attempt.
   StatusOr<std::shared_ptr<const JitModule>> GetOrEmit(
       const CompiledPolynomialSet& compiled);
+
+  /// True when emission for `fingerprint` failed and is still remembered.
+  bool EmitFailed(uint64_t fingerprint) const;
+
+  /// How many failed fingerprints are remembered; the oldest is forgotten
+  /// first (a forgotten one just pays one more attempt).
+  static constexpr size_t kRememberedFailures = 1024;
 
   /// Eagerly drops the entry for `fingerprint`, releasing its budget
   /// charge. Returns true when an entry was resident. (Recompiles do not
@@ -119,7 +131,7 @@ class JitCodeCache {
   struct Stats {
     uint64_t hits = 0;
     uint64_t misses = 0;        ///< Emissions attempted (miss then emit).
-    uint64_t emit_failures = 0;
+    uint64_t emit_failures = 0; ///< Attempts that failed (each remembered).
     uint64_t evictions = 0;     ///< LRU evictions (budget pressure).
     uint64_t invalidations = 0; ///< Explicit Invalidate() drops.
     uint64_t resident_modules = 0;
@@ -134,6 +146,10 @@ class JitCodeCache {
     std::list<uint64_t>::iterator lru_it;
   };
 
+  /// Counts and remembers a failed emission; returns `status`. Requires
+  /// mutex_.
+  Status RememberFailure(uint64_t fingerprint, Status status);
+
   /// Drops LRU entries until within budget; never drops the most recently
   /// used entry, so one oversized set still gets cached code. Requires
   /// mutex_.
@@ -145,6 +161,9 @@ class JitCodeCache {
   std::list<uint64_t> lru_;  // front = most recently used fingerprint
   std::unordered_map<uint64_t, Entry> entries_;
   size_t used_bytes_ = 0;
+  // Failed emissions by fingerprint, oldest first in failed_order_.
+  std::unordered_map<uint64_t, Status> failed_;
+  std::deque<uint64_t> failed_order_;
   uint64_t hits_ = 0;
   uint64_t misses_ = 0;
   uint64_t emit_failures_ = 0;

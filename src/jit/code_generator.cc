@@ -50,6 +50,32 @@ void EmitPolyBody(X86Encoder& enc, const CompiledPolynomialSet::CsrView& csr,
   }
 }
 
+/// Bytes of a movsd to or from [reg + disp] with a non-rbp base, as
+/// X86Encoder encodes it: three opcode bytes, ModRM, and no, one or four
+/// displacement bytes.
+uint64_t MovsdBytes(uint64_t disp) {
+  return disp == 0 ? 4 : disp <= 127 ? 5 : 8;
+}
+
+/// The exact size of the blob GeneratePolynomialSetCode emits, from the CSR
+/// arrays alone. Every polynomial body is emitted twice (in its own
+/// function and in the range function): xorpd (4) per body; mov rax,imm64
+/// (10) + movq (5) + addsd (4) per monomial; a slot load plus one mulsd (4)
+/// per multiplication per factor. Then a ret per polynomial function, a
+/// store per range-function result, and the range function's ret.
+uint64_t CodeBytes(const CompiledPolynomialSet& compiled) {
+  const CompiledPolynomialSet::CsrView csr = compiled.csr();
+  const uint64_t polys = compiled.poly_count();
+  uint64_t body = 4 * polys + 19 * uint64_t{compiled.monomial_count()};
+  for (size_t f = 0; f < compiled.factor_count(); ++f) {
+    body += MovsdBytes(uint64_t{csr.factor_slots[f]} * 8) +
+            4 * uint64_t{csr.factor_exps[f]};
+  }
+  uint64_t stores = 0;
+  for (uint64_t p = 0; p < polys; ++p) stores += MovsdBytes(p * 8);
+  return 2 * body + polys + stores + 1;
+}
+
 }  // namespace
 
 StatusOr<GeneratedCode> GeneratePolynomialSetCode(
@@ -67,6 +93,15 @@ StatusOr<GeneratedCode> GeneratePolynomialSetCode(
                               std::to_string(max_index) + " slots)");
   }
 
+  // The size is known up front, so an over-cap set is refused before any
+  // code is generated.
+  const uint64_t code_bytes = CodeBytes(compiled);
+  if (code_bytes > max_code_bytes) {
+    return Status::OutOfRange("generated code would exceed the per-set cap (" +
+                              std::to_string(code_bytes) + " > " +
+                              std::to_string(max_code_bytes) + " bytes)");
+  }
+
   X86Encoder enc;
   GeneratedCode out;
   out.entry_offsets.reserve(poly_count);
@@ -74,28 +109,14 @@ StatusOr<GeneratedCode> GeneratePolynomialSetCode(
     out.entry_offsets.push_back(enc.size());
     EmitPolyBody(enc, csr, p);
     enc.Ret();
-    if (enc.size() > max_code_bytes) {
-      return Status::OutOfRange(
-          "generated code exceeds the per-set cap (" +
-          std::to_string(enc.size()) + " > " +
-          std::to_string(max_code_bytes) + " bytes after polynomial " +
-          std::to_string(p) + ")");
-    }
   }
   // The full-set range function: every body again, results stored to
   // out[p] instead of returned. Roughly doubles the blob (still linear in
-  // the set's factor count); the cap check continues per polynomial.
+  // the set's factor count).
   out.range_entry = enc.size();
   for (size_t p = 0; p < poly_count; ++p) {
     EmitPolyBody(enc, csr, p);
     enc.MovsdStore(kOut, static_cast<int32_t>(uint64_t{p} * 8), kTotal);
-    if (enc.size() > max_code_bytes) {
-      return Status::OutOfRange(
-          "generated code exceeds the per-set cap (" +
-          std::to_string(enc.size()) + " > " + std::to_string(max_code_bytes) +
-          " bytes in the range function at polynomial " + std::to_string(p) +
-          ")");
-    }
   }
   enc.Ret();
   out.code = enc.TakeCode();

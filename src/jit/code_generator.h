@@ -43,7 +43,8 @@ struct GeneratedCode {
 };
 
 /// Emits GeneratedCode for every polynomial of `compiled`. Fails with
-/// kOutOfRange when the blob would exceed `max_code_bytes` (fully-unrolled
+/// kOutOfRange when the blob would exceed `max_code_bytes` — decided up
+/// front from the CSR arrays, before any code is generated (fully-unrolled
 /// code is linear in the set's factor count, but a pathological set could
 /// out-size the instruction cache's usefulness and the arena budget — the
 /// backend treats the refusal as one more counted fallback reason) or when

@@ -24,13 +24,16 @@ const EvaluationBackendInfo& JitBackend::info() const {
       "per-artifact native code emission (straight-line SSE2, "
       "fingerprint-cached; falls back to the compiled kernel where "
       "executable memory is unavailable)",
-      /*vectorized=*/false, /*deterministic=*/true, /*preferred_batch=*/1,
-      /*tier=*/3};
+      /*vectorized=*/false, /*deterministic=*/true, /*preferred_batch=*/1};
   return kInfo;
 }
 
 bool JitBackend::Available() const {
   return mode_ == Mode::kAuto && JitNativeActive();
+}
+
+bool JitBackend::AvailableFor(const CompiledPolynomialSet& compiled) const {
+  return Available() && !cache_->EmitFailed(compiled.fingerprint());
 }
 
 void JitBackend::DoEvaluateBatch(const CompiledPolynomialSet& compiled,

@@ -23,7 +23,7 @@ bool JitForceDisabled();
 /// systems and non-x86-64 builds).
 bool JitNativeActive();
 
-/// The top evaluation tier: emits one straight-line native function per
+/// The per-artifact native backend: emits one straight-line function per
 /// polynomial of the compiled artifact (jit/code_generator.h), cached by
 /// compiled-form fingerprint (jit/code_cache.h), and calls it per
 /// (scenario, polynomial) — no interpreter loops, no per-factor offset
@@ -51,9 +51,14 @@ class JitBackend : public EvaluationBackend {
   const EvaluationBackendInfo& info() const override;
 
   /// False when this instance cannot execute native code (forced fallback
-  /// or no executable memory) — the auto policy then routes to the next
-  /// tier while explicit selection still works via the fallback path.
+  /// or no executable memory) — routing then leaves it out, while explicit
+  /// selection still works via the fallback path.
   bool Available() const override;
+
+  /// Available() and no failed emission recorded for this snapshot (code
+  /// cap, encoding limits): routing stops probing a jit that would only
+  /// run the compiled fallback.
+  bool AvailableFor(const CompiledPolynomialSet& compiled) const override;
 
   /// Why batches went native or fell back, cumulative per instance.
   struct Stats {

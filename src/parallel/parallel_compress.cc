@@ -130,17 +130,16 @@ std::vector<double> ParallelEvaluateAll(const Valuation& valuation,
                                         const PolynomialSet& polys,
                                         ThreadPool& pool) {
   // Compile (cached on the set) and materialize the valuation once, then
-  // chunk the flat CSR arrays across the pool: each worker routes one
-  // contiguous polynomial range through the backend registry's auto policy
-  // (the highest available single-scenario tier — jit, or compiled when
-  // executable memory is unavailable; all backends are bitwise identical
-  // by contract, so the output matches Valuation::EvaluateAll exactly).
+  // chunk the flat CSR arrays across the pool: each worker runs one
+  // contiguous polynomial range on the backend routing measured fastest
+  // for this snapshot (all backends are bitwise identical by contract, so
+  // the output matches Valuation::EvaluateAll exactly).
   std::shared_ptr<const CompiledPolynomialSet> compiled = polys.Compiled();
   const DenseValuation dense = compiled->MaterializeValuation(valuation);
   std::vector<double> out(compiled->poly_count());
-  StatusOr<const EvaluationBackend*> backend =
-      EvaluationBackendRegistry::Default().ResolveForBatch("", 1);
-  PROVABS_CHECK(backend.ok());
+  StatusOr<BackendRoute> route =
+      EvaluationBackendRegistry::Default().Route("", *compiled, 1);
+  PROVABS_CHECK(route.ok());
   const size_t poly_count = compiled->poly_count();
   const size_t chunks = ChunkCount(poly_count, pool);
   const size_t per_chunk = (poly_count + chunks - 1) / chunks;
@@ -150,8 +149,8 @@ std::vector<double> ParallelEvaluateAll(const Valuation& valuation,
     if (begin >= end) return;
     const DenseValuation* scenario = &dense;
     double* out_ptr = out.data() + begin;
-    Status status = (*backend)->EvaluateBatch(*compiled, begin, end,
-                                              &scenario, &out_ptr, 1);
+    Status status =
+        route->EvaluateBatch(*compiled, begin, end, &scenario, &out_ptr, 1);
     PROVABS_CHECK(status.ok());
   });
   return out;
@@ -161,10 +160,9 @@ StatusOr<std::vector<std::vector<double>>> ParallelEvaluateScenarios(
     const std::vector<Valuation>& scenarios, const PolynomialSet& polys,
     ThreadPool& pool, const std::string& backend_name) {
   std::shared_ptr<const CompiledPolynomialSet> compiled = polys.Compiled();
-  StatusOr<const EvaluationBackend*> backend =
-      EvaluationBackendRegistry::Default().ResolveForBatch(backend_name,
-                                                           scenarios.size());
-  if (!backend.ok()) return backend.status();
+  StatusOr<BackendRoute> route = EvaluationBackendRegistry::Default().Route(
+      backend_name, *compiled, scenarios.size());
+  if (!route.ok()) return route.status();
 
   const size_t n = scenarios.size();
   const size_t poly_count = compiled->poly_count();
@@ -190,7 +188,7 @@ StatusOr<std::vector<std::vector<double>>> ParallelEvaluateScenarios(
     if (begin >= end) return;
     std::vector<double*> out_ptrs(n);
     for (size_t s = 0; s < n; ++s) out_ptrs[s] = out[s].data() + begin;
-    chunk_status[chunk] = (*backend)->EvaluateBatch(
+    chunk_status[chunk] = route->EvaluateBatch(
         *compiled, begin, end, dense_ptrs.data(), out_ptrs.data(), n);
   });
   for (const Status& status : chunk_status) {

@@ -47,10 +47,10 @@ std::vector<double> ParallelEvaluateAll(const Valuation& valuation,
 
 /// Batched what-if evaluation over the pool: every scenario against every
 /// polynomial of the set, through the backend chosen by
-/// EvaluationBackendRegistry::ResolveForBatch(backend_name, #scenarios)
-/// (empty name = auto: simd_batch once the batch reaches its preferred
-/// width). Workers split POLYNOMIAL ranges, each carrying the full scenario
-/// batch, so the backend keeps full SIMD lanes at any pool width.
+/// EvaluationBackendRegistry::Route(backend_name, snapshot, #scenarios)
+/// (empty name = the backend measured fastest on this snapshot at this
+/// batch width). Workers split POLYNOMIAL ranges, each carrying the full
+/// scenario batch, so the backend keeps full SIMD lanes at any pool width.
 /// result[s][p] = value of polynomial p under scenarios[s], bitwise
 /// identical to Valuation::Evaluate. Unknown backend names fail listing the
 /// registered set.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <optional>
 #include <utility>
 
 namespace provabs {
@@ -16,7 +17,7 @@ constexpr size_t kPolysPerChunk = 64;
 
 StatusOr<std::vector<double>> EvaluateBatcher::Evaluate(
     std::shared_ptr<const PolynomialSet> polys, Valuation val,
-    const std::string& backend) {
+    const std::string& backend, std::string* ran_backend) {
   auto item = std::make_shared<Pending>();
   item->polys = std::move(polys);
   // Resolve the compiled form and materialize the valuation on the caller
@@ -42,13 +43,15 @@ StatusOr<std::vector<double>> EvaluateBatcher::Evaluate(
     LeadOneBatch(lock);
   }
   if (!item->status.ok()) return item->status;
+  if (ran_backend != nullptr) *ran_backend = item->ran->info().name;
   return std::move(item->out);
 }
 
 StatusOr<std::vector<std::vector<double>>> EvaluateBatcher::EvaluateDense(
     std::shared_ptr<const PolynomialSet> polys,
     std::shared_ptr<const CompiledPolynomialSet> compiled,
-    std::vector<DenseValuation> scenarios, const std::string& backend) {
+    std::vector<DenseValuation> scenarios, const std::string& backend,
+    std::string* ran_backend) {
   if (compiled == nullptr) {
     return Status::InvalidArgument("EvaluateDense needs a compiled form");
   }
@@ -91,6 +94,7 @@ StatusOr<std::vector<std::vector<double>>> EvaluateBatcher::EvaluateDense(
     if (!item->status.ok()) return item->status;
     results.push_back(std::move(item->out));
   }
+  if (ran_backend != nullptr) *ran_backend = last.ran->info().name;
   return results;
 }
 
@@ -124,7 +128,7 @@ void EvaluateBatcher::RunBatch(
   // was materialized from — the fingerprint contract holds by
   // construction.
   struct Group {
-    const EvaluationBackend* backend = nullptr;
+    std::optional<BackendRoute> route;
     std::vector<Pending*> items;
     std::vector<const DenseValuation*> scenarios;
   };
@@ -135,10 +139,11 @@ void EvaluateBatcher::RunBatch(
   }
   *groups = by_key.size();
 
-  // Resolve each group's backend and lay out chunks. Chunking is
-  // min(ceil(P / 64), pool width): wide enough to use the pool on large
-  // artifacts, and exactly ONE EvaluateBatch call per group on a 1-thread
-  // pool (asserted by tests via a counting backend).
+  // Route each group and lay out chunks. Chunking is min(ceil(P / 64),
+  // pool width): wide enough to use the pool on large artifacts, and
+  // exactly ONE EvaluateBatch call per group on a 1-thread pool (asserted
+  // by tests via a counting backend). A probing route times the group's
+  // chunks and records their sum when `by_key` goes out of scope.
   struct Chunk {
     Group* group;
     size_t poly_begin;
@@ -147,15 +152,16 @@ void EvaluateBatcher::RunBatch(
   std::vector<Chunk> chunks;
   for (auto& [key, group] : by_key) {
     const CompiledPolynomialSet* compiled = key.first;
-    StatusOr<const EvaluationBackend*> resolved =
-        registry_->ResolveForBatch(key.second, group.items.size());
-    if (!resolved.ok()) {
-      for (Pending* item : group.items) item->status = resolved.status();
+    StatusOr<BackendRoute> route =
+        registry_->Route(key.second, *compiled, group.items.size());
+    if (!route.ok()) {
+      for (Pending* item : group.items) item->status = route.status();
       continue;
     }
-    group.backend = *resolved;
+    group.route.emplace(std::move(*route));
     group.scenarios.reserve(group.items.size());
     for (Pending* item : group.items) {
+      item->ran = group.route->backend();
       item->out.resize(compiled->poly_count());
       group.scenarios.push_back(&item->dense);
     }
@@ -184,7 +190,7 @@ void EvaluateBatcher::RunBatch(
     for (size_t s = 0; s < group.items.size(); ++s) {
       out_ptrs[s] = group.items[s]->out.data() + chunk.poly_begin;
     }
-    chunk_status[c] = group.backend->EvaluateBatch(
+    chunk_status[c] = group.route->EvaluateBatch(
         compiled, chunk.poly_begin, chunk.poly_end, group.scenarios.data(),
         out_ptrs.data(), group.scenarios.size());
   });

@@ -34,8 +34,8 @@ namespace provabs {
 /// Within a round, requests are grouped by (compiled form, requested
 /// backend) and each group is routed through the evaluation-backend
 /// registry (core/evaluation_backend.h) as ONE batch: concurrent analysts
-/// probing the same artifact become structure-of-arrays lanes for the
-/// simd_batch backend once the group reaches its preferred width. Each
+/// probing the same artifact become one multi-scenario batch, run on the
+/// backend measured fastest for that snapshot at that width. Each
 /// group's polynomial range is chunked across the pool with every chunk
 /// carrying the whole scenario group, so lanes stay full at any pool
 /// width.
@@ -44,7 +44,7 @@ namespace provabs {
 /// server artifacts it is warmed at load/insert time, so this never
 /// compiles on the request path) and materializes its valuation into a
 /// dense slot array before queueing, so pool workers run pure flat-array
-/// walks. Results are bitwise identical to naive `Valuation::Evaluate` per
+/// walks. Results are bitwise identical to `Valuation::Evaluate` per
 /// polynomial, whichever backend serves the group.
 class EvaluateBatcher {
  public:
@@ -61,14 +61,16 @@ class EvaluateBatcher {
   EvaluateBatcher& operator=(const EvaluateBatcher&) = delete;
 
   /// Evaluates every polynomial of `polys` under `val`; blocks until done.
-  /// `backend` names an evaluation backend ("" = registry auto policy for
+  /// `backend` names an evaluation backend ("" = measured routing for
   /// the group this request lands in); unknown names fail with the
   /// registry's name-listing error. Thread-safe; concurrent callers are
   /// coalesced. The shared_ptr keeps the polynomial set alive across the
-  /// batch even if the artifact store evicts it mid-request.
+  /// batch even if the artifact store evicts it mid-request. When
+  /// `ran_backend` is non-null it receives the name of the backend that
+  /// actually evaluated the request (the routed choice for "").
   StatusOr<std::vector<double>> Evaluate(
       std::shared_ptr<const PolynomialSet> polys, Valuation val,
-      const std::string& backend = "");
+      const std::string& backend = "", std::string* ran_backend = nullptr);
 
   /// Evaluates every polynomial of `polys` under each of `scenarios` — the
   /// scenario-program fan-out entry point (scenario/program.h expands
@@ -79,10 +81,12 @@ class EvaluateBatcher {
   /// artifact. Returns one value vector per scenario, in order; counts as
   /// scenarios.size() requests in stats(). Fails fast with
   /// kInvalidArgument if any scenario carries a foreign fingerprint.
+  /// `ran_backend` as for Evaluate() (the whole family runs as one group).
   StatusOr<std::vector<std::vector<double>>> EvaluateDense(
       std::shared_ptr<const PolynomialSet> polys,
       std::shared_ptr<const CompiledPolynomialSet> compiled,
-      std::vector<DenseValuation> scenarios, const std::string& backend = "");
+      std::vector<DenseValuation> scenarios, const std::string& backend = "",
+      std::string* ran_backend = nullptr);
 
   struct Stats {
     uint64_t requests = 0;       ///< Evaluate() calls served.
@@ -110,6 +114,7 @@ class EvaluateBatcher {
     std::shared_ptr<const CompiledPolynomialSet> compiled;
     DenseValuation dense;
     std::string backend;  ///< Requested backend name ("" = auto).
+    const EvaluationBackend* ran = nullptr;  ///< Set by the leader.
     std::vector<double> out;
     Status status;  ///< Set by the leader on resolution/evaluation failure.
     bool done = false;

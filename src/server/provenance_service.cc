@@ -270,13 +270,16 @@ Response ProvenanceService::Evaluate(const EvaluateRequest& req) {
   // evaluated: setting a variable the compression abstracted away would
   // silently have no effect, and a silently wrong what-if answer is worse
   // than an error (the offline CLI rejects it the same way, because a
-  // compressed artifact's buffer only carries surviving variables).
+  // compressed artifact's buffer only carries surviving variables). The
+  // compiled snapshot's slot index answers membership per assignment, so
+  // validation never scans the view's monomials.
   Valuation val;
-  std::unordered_set<VariableId> present;
-  if (!req.assignments.empty()) present = target->Variables();
+  const std::shared_ptr<const CompiledPolynomialSet> compiled =
+      target->Compiled();
   for (const auto& [name, value] : req.assignments) {
     VariableId id = artifact->vars->Find(name);
-    if (id == kInvalidVariable || present.count(id) == 0) {
+    if (id == kInvalidVariable ||
+        compiled->SlotOf(id) == CompiledPolynomialSet::kNoSlot) {
       SetError(resp,
                Status::NotFound(
                    req.compressed
@@ -292,7 +295,7 @@ Response ProvenanceService::Evaluate(const EvaluateRequest& req) {
 
   // An explicit backend name is validated up front so a typo fails with
   // the registry's name-listing error before any work is queued; "" keeps
-  // the registry's auto policy, which picks per coalesced batch.
+  // the registry's measured routing, which picks per coalesced batch.
   if (!req.eval_backend.empty()) {
     StatusOr<const EvaluationBackend*> backend =
         EvaluationBackendRegistry::Default().Resolve(req.eval_backend);
@@ -302,15 +305,14 @@ Response ProvenanceService::Evaluate(const EvaluateRequest& req) {
       return resp;
     }
   }
-  StatusOr<std::vector<double>> values =
-      batcher_.Evaluate(std::move(target), std::move(val), req.eval_backend);
+  StatusOr<std::vector<double>> values = batcher_.Evaluate(
+      std::move(target), std::move(val), req.eval_backend, &resp.eval_backend);
   if (!values.ok()) {
     SetError(resp, values.status());
     AttachStats(resp);
     return resp;
   }
   resp.values = std::move(*values);
-  resp.eval_backend = req.eval_backend;
   AttachStats(resp);
   return resp;
 }
@@ -449,6 +451,7 @@ Response ProvenanceService::EvaluateScenarioProgram(
     resp.values.reserve(static_cast<size_t>(total) * compiled->poly_count());
   }
 
+  std::vector<std::string> ran_backends;
   for (uint64_t begin = 0; begin < total; begin += scenario_chunk_) {
     const uint64_t end = std::min(total, begin + scenario_chunk_);
     std::vector<DenseValuation> chunk;
@@ -458,12 +461,20 @@ Response ProvenanceService::EvaluateScenarioProgram(
       AttachStats(resp);
       return resp;
     }
+    std::string ran;
     StatusOr<std::vector<std::vector<double>>> values = batcher_.EvaluateDense(
-        target, compiled, std::move(chunk), req.eval_backend);
+        target, compiled, std::move(chunk), req.eval_backend, &ran);
     if (!values.ok()) {
       SetError(resp, values.status());
       AttachStats(resp);
       return resp;
+    }
+    // Chunks of one family can run on different backends only while the
+    // snapshot is still being measured; the response names each, in order.
+    if (std::find(ran_backends.begin(), ran_backends.end(), ran) ==
+        ran_backends.end()) {
+      resp.eval_backend += (ran_backends.empty() ? "" : ",") + ran;
+      ran_backends.push_back(std::move(ran));
     }
     if (!shaped) {
       for (const std::vector<double>& v : *values) {
@@ -492,7 +503,6 @@ Response ProvenanceService::EvaluateScenarioProgram(
                          pick.values.end());
     }
   }
-  resp.eval_backend = req.eval_backend;
   AttachStats(resp);
   return resp;
 }
@@ -574,7 +584,6 @@ Response ProvenanceService::ListBackends(const ListBackendsRequest&) {
     b.vectorized = info.vectorized;
     b.deterministic = info.deterministic;
     b.preferred_batch = info.preferred_batch;
-    b.tier = info.tier;
     resp.backends.push_back(std::move(b));
   }
   AttachStats(resp);

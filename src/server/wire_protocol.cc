@@ -438,9 +438,6 @@ std::string EncodeResponse(const Response& resp) {
     uint8_t flags = 0;
     if (b.vectorized) flags |= 1;
     if (b.deterministic) flags |= 2;
-    // Tier rides in the spare bits 2-3 (values 0-3 cover the built-ins);
-    // pre-tier decoders ignore them, so no wire-version bump.
-    flags |= static_cast<uint8_t>((b.tier & 0x3u) << 2);
     w.PutU8(flags);
     w.PutVarint(b.preferred_batch);
   }
@@ -584,7 +581,6 @@ StatusOr<Response> DecodeResponse(std::string_view payload) {
     if (!flags.ok()) return flags.status();
     b.vectorized = (*flags & 1) != 0;
     b.deterministic = (*flags & 2) != 0;
-    b.tier = (*flags >> 2) & 0x3u;
     auto preferred = r.GetVarint();
     if (!preferred.ok()) return preferred.status();
     b.preferred_batch = *preferred;

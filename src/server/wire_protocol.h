@@ -108,8 +108,9 @@ struct EvaluateRequest {
   std::string algo = "opt";
   uint64_t bound = 0;
   /// Evaluation backend to route through (core/evaluation_backend.h).
-  /// Empty = the registry's auto policy for whatever batch this request is
-  /// coalesced into; unknown names fail listing the registered set
+  /// Empty = the backend the server measured fastest on the evaluated
+  /// snapshot for whatever batch this request is coalesced into (the
+  /// response names it); unknown names fail listing the registered set
   /// (discover them with ListBackends). All backends return bitwise
   /// identical values — this selects a strategy, never a result.
   std::string eval_backend;
@@ -208,13 +209,9 @@ struct EvalBackendCapability {
   bool vectorized = false;
   /// Same inputs always yield the same bits.
   bool deterministic = false;
-  /// Batch width from which this backend beats the single-scenario kernel.
+  /// Batch width the backend is designed for (advisory; the server's
+  /// routing measures instead).
   uint64_t preferred_batch = 1;
-  /// Speed tier for auto-routing (higher wins): naive=0, compiled=1,
-  /// simd_batch=2, jit=3. Travels in bits 2-3 of the record's flags byte —
-  /// spare bits, so the wire version is unchanged and pre-tier peers (which
-  /// only read bits 0/1) interoperate; their records decode here as tier 0.
-  uint32_t tier = 0;
 };
 
 /// Server-side cache and batching counters, included in every response so
@@ -309,8 +306,11 @@ struct Response {
 
   // evaluate.
   std::vector<double> values;
-  /// Echo of the validated backend the request asked for ("" = the
-  /// registry's auto policy routed it).
+  /// Evaluate / EvaluateScenarioProgram: the backend that actually ran the
+  /// request — the requested name, or the routed choice when the request
+  /// left it empty. A scenario family whose chunks ran on different
+  /// backends (possible only while routing is still measuring the
+  /// snapshot) lists each, comma-separated, in order of first use.
   std::string eval_backend;
 
   // tradeoff.

@@ -121,7 +121,7 @@ TEST_F(CliTest, EvalBackendSelectable) {
                 "/pe.bin --forest-out " + dir_ + "/fe.bin"),
             0);
   // Every registered evaluation backend serves the same evaluate command.
-  for (const std::string backend : {"naive", "compiled", "simd_batch", "jit"}) {
+  for (const std::string backend : {"compiled", "simd_batch", "jit"}) {
     EXPECT_EQ(Run("evaluate --in " + dir_ + "/pe.bin --set m1=0.8 "
                   "--eval-backend " + backend),
               0)
@@ -191,7 +191,7 @@ TEST_F(CliTest, ScenarioSubcommandEvaluatesFamilies) {
       "'LET d = GRID(0.5, 1); SET PREFIX(plan) = d; SET * = 1;'";
   EXPECT_EQ(Run("scenario --in " + dir_ + "/ps.bin --expr " + program), 0);
   // Every registered backend and every shape serve the same subcommand.
-  for (const std::string backend : {"naive", "compiled", "simd_batch", "jit"}) {
+  for (const std::string backend : {"compiled", "simd_batch", "jit"}) {
     EXPECT_EQ(Run("scenario --in " + dir_ + "/ps.bin --expr " + program +
                   " --eval-backend " + backend),
               0)

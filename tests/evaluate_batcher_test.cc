@@ -180,15 +180,15 @@ TEST(EvaluateBatcherTest, PerRequestBackendSelection) {
   ThreadPool pool(2);
   EvaluateBatcher batcher(pool);
 
-  for (const char* backend : {"naive", "compiled", "simd_batch", "jit", ""}) {
+  for (const char* backend : {"compiled", "simd_batch", "jit", ""}) {
     std::vector<Valuation> scenarios;
     for (int s = 0; s < 9; ++s) scenarios.push_back(MakeScenario(rng, *polys));
     RunConcurrent(batcher, polys, scenarios, backend);
   }
 
   // Mixed names from concurrent callers.
-  const std::vector<std::string> names = {"naive", "compiled", "simd_batch",
-                                          "", "jit", "naive"};
+  const std::vector<std::string> names = {"compiled", "simd_batch", "",
+                                          "jit", "compiled", ""};
   std::vector<Valuation> scenarios;
   for (size_t s = 0; s < names.size(); ++s) {
     scenarios.push_back(MakeScenario(rng, *polys));
@@ -298,6 +298,11 @@ TEST(EvaluateBatcherTest, ExactlyOneDispatchPerGroupPerRound) {
   Rng rng(31004);
   VariableTable vars;
   auto polys = MakeSet(rng, vars, 7, "c");
+  // Callers racing the set's first Compiled() may each build their own
+  // snapshot (PolynomialSet::Compiled keeps whichever lands last), and
+  // distinct snapshots form distinct groups; compile once up front so the
+  // round structure below is the only variable.
+  polys->Compiled();
 
   EvaluationBackendRegistry registry;
   ASSERT_TRUE(RegisterBuiltinEvaluationBackends(registry).ok());

@@ -1,7 +1,7 @@
 // Cross-backend differential battery for the evaluation-backend registry
 // (core/evaluation_backend.h). Naive per-polynomial Valuation::Evaluate is
 // the reference defining the canonical summation order; every registered
-// backend — naive, compiled, simd_batch with scalar lanes forced,
+// backend — compiled, simd_batch with scalar lanes forced,
 // simd_batch with AVX2 lanes when the host has them, the jit with its
 // compiled-kernel fallback forced, and the jit's emitted native code where
 // executable memory is usable — must reproduce it
@@ -15,14 +15,18 @@
 // Also the home of the slot-mapping regression tests: a DenseValuation
 // materialized against one compiled form must be rejected (not silently
 // mis-indexed) when evaluated under another — the copy-then-Add hazard the
-// fingerprint scheme exists for.
+// fingerprint scheme exists for — and of the measured-routing tests
+// (EvaluationBackendRegistry::Route), driven by fake backends that spin.
 
 #include "core/evaluation_backend.h"
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -67,13 +71,15 @@ void ExpectBitwiseEqual(const std::vector<double>& expected,
   }
 }
 
-/// Runs one backend over the whole scenario batch in a single
-/// EvaluateBatch call and bit-compares every scenario against the naive
-/// reference.
-void RunBackendDifferential(const EvaluationBackend& backend,
-                            const PolynomialSet& polys,
-                            const std::vector<Valuation>& scenarios,
-                            const std::string& which) {
+/// Materializes `scenarios` against the snapshot of `polys`, evaluates the
+/// whole batch with `evaluate`, and bit-compares every scenario against the
+/// naive reference.
+void RunBatchAndCheck(
+    const PolynomialSet& polys, const std::vector<Valuation>& scenarios,
+    const std::string& which,
+    const std::function<Status(const CompiledPolynomialSet&,
+                               const DenseValuation* const*, double* const*,
+                               size_t)>& evaluate) {
   auto compiled = polys.Compiled();
   const size_t n = scenarios.size();
   std::vector<DenseValuation> dense;
@@ -89,9 +95,7 @@ void RunBackendDifferential(const EvaluationBackend& backend,
     dense_ptrs[s] = &dense[s];
     out_ptrs[s] = out[s].data();
   }
-  Status status =
-      backend.EvaluateBatch(*compiled, 0, compiled->poly_count(),
-                            dense_ptrs.data(), out_ptrs.data(), n);
+  Status status = evaluate(*compiled, dense_ptrs.data(), out_ptrs.data(), n);
   ASSERT_TRUE(status.ok()) << which << ": " << status.ToString();
   for (size_t s = 0; s < n; ++s) {
     ExpectBitwiseEqual(NaiveEvaluateAll(scenarios[s], polys), out[s],
@@ -99,7 +103,22 @@ void RunBackendDifferential(const EvaluationBackend& backend,
   }
 }
 
-/// Every backend instance the battery pins: the four registered built-ins
+/// Runs one backend over the whole scenario batch in a single
+/// EvaluateBatch call.
+void RunBackendDifferential(const EvaluationBackend& backend,
+                            const PolynomialSet& polys,
+                            const std::vector<Valuation>& scenarios,
+                            const std::string& which) {
+  RunBatchAndCheck(polys, scenarios, which,
+                   [&](const CompiledPolynomialSet& compiled,
+                       const DenseValuation* const* dense,
+                       double* const* outs, size_t n) {
+                     return backend.EvaluateBatch(
+                         compiled, 0, compiled.poly_count(), dense, outs, n);
+                   });
+}
+
+/// Every backend instance the battery pins: the three registered built-ins
 /// plus forced variants — a scalar-lane simd_batch (so the lane/transpose/
 /// remainder logic is covered even when the host would auto-pick AVX2) and
 /// a fallback-forced jit (so the compiled-kernel degradation path is
@@ -158,12 +177,14 @@ PolynomialSet MakeRandomSet(Rng& rng, const std::vector<VariableId>& ids) {
 TEST(EvaluationBackendRegistryTest, DefaultRegistersTheBuiltins) {
   const EvaluationBackendRegistry& registry =
       EvaluationBackendRegistry::Default();
-  EXPECT_NE(registry.Find("naive"), nullptr);
   EXPECT_NE(registry.Find("compiled"), nullptr);
   EXPECT_NE(registry.Find("simd_batch"), nullptr);
   EXPECT_NE(registry.Find("jit"), nullptr);
+  // The scalar reference is the test oracle (Valuation::Evaluate), not a
+  // registered backend routing could ever probe.
+  EXPECT_EQ(registry.Find("naive"), nullptr);
   // Names come back sorted, so usage/error text is stable.
-  EXPECT_EQ(registry.NamesCsv(), "compiled, jit, naive, simd_batch");
+  EXPECT_EQ(registry.NamesCsv(), "compiled, jit, simd_batch");
 
   const EvaluationBackend* simd = registry.Find("simd_batch");
   EXPECT_TRUE(simd->info().vectorized);
@@ -176,15 +197,8 @@ TEST(EvaluationBackendRegistryTest, DefaultRegistersTheBuiltins) {
   EXPECT_FALSE(jit->info().vectorized);  // scalar per scenario, just faster
   EXPECT_EQ(jit->info().preferred_batch, 1u);
 
-  // The documented auto-routing preference order is encoded in the tiers.
-  EXPECT_GT(jit->info().tier, simd->info().tier);
-  EXPECT_GT(simd->info().tier, registry.Find("compiled")->info().tier);
-  EXPECT_GT(registry.Find("compiled")->info().tier,
-            registry.Find("naive")->info().tier);
-
   // Every built-in except jit is unconditionally available; jit's
   // availability is the host's to decide (never true when forced off).
-  EXPECT_TRUE(registry.Find("naive")->Available());
   EXPECT_TRUE(registry.Find("compiled")->Available());
   EXPECT_TRUE(registry.Find("simd_batch")->Available());
   EXPECT_EQ(jit->Available(), JitNativeActive());
@@ -210,60 +224,264 @@ TEST(EvaluationBackendRegistryTest, UnknownNameListsTheRegisteredSet) {
                 "unknown evaluation backend 'turbo'"),
             std::string::npos)
       << resolved.status().message();
-  EXPECT_NE(
-      resolved.status().message().find("compiled, jit, naive, simd_batch"),
-      std::string::npos)
+  EXPECT_NE(resolved.status().message().find("compiled, jit, simd_batch"),
+            std::string::npos)
       << resolved.status().message();
 }
 
-TEST(EvaluationBackendRegistryTest, ResolveForBatchAutoPolicy) {
-  const EvaluationBackendRegistry& registry =
-      EvaluationBackendRegistry::Default();
-  const uint32_t width = registry.Find("simd_batch")->info().preferred_batch;
+// ------------------------------------------------- measured routing -----
 
-  // Auto routing picks the highest available tier. When the jit can emit
-  // native code (executable memory usable, not force-disabled) it wins at
-  // every batch size; otherwise routing degrades to the pre-jit policy:
-  // compiled below the vectorized width, simd_batch at and beyond it. Both
-  // branches are exercised in CI (a NOJIT-forced job runs this same test).
-  const bool jit_active = JitNativeActive();
-  // Batch 0 makes nothing eligible (every preferred_batch is >= 1), so the
-  // auto policy takes its "compiled" fallback no matter what is available.
-  {
-    auto backend = registry.ResolveForBatch("", 0);
-    ASSERT_TRUE(backend.ok());
-    EXPECT_EQ((*backend)->info().name, "compiled");
-  }
-  for (size_t batch : {size_t{1}, size_t{width - 1}}) {
-    auto backend = registry.ResolveForBatch("", batch);
-    ASSERT_TRUE(backend.ok());
-    EXPECT_EQ((*backend)->info().name, jit_active ? "jit" : "compiled")
-        << "batch " << batch;
-  }
-  for (size_t batch : {size_t{width}, size_t{width + 1}, size_t{10 * width}}) {
-    auto backend = registry.ResolveForBatch("", batch);
-    ASSERT_TRUE(backend.ok());
-    EXPECT_EQ((*backend)->info().name, jit_active ? "jit" : "simd_batch")
-        << "batch " << batch;
-  }
-  // An explicit name resolves strictly regardless of batch size — including
-  // "jit" when unavailable (it degrades internally rather than failing).
-  auto naive = registry.ResolveForBatch("naive", 1000);
-  ASSERT_TRUE(naive.ok());
-  EXPECT_EQ((*naive)->info().name, "naive");
-  auto jit = registry.ResolveForBatch("jit", 1000);
-  ASSERT_TRUE(jit.ok());
-  EXPECT_EQ((*jit)->info().name, "jit");
+/// Evaluates with the compiled kernel, first spinning for 1 ms on every
+/// batch `slow` selects — so which of two otherwise identical backends is
+/// faster depends on the snapshot and the batch width, and routing has to
+/// measure it.
+class SpinningBackend : public EvaluationBackend {
+ public:
+  using SlowWhen = std::function<bool(const CompiledPolynomialSet&, size_t)>;
 
-  // An empty registry is the only hard failure of the auto policy.
-  EvaluationBackendRegistry empty;
-  EXPECT_FALSE(empty.ResolveForBatch("", 8).ok());
+  SpinningBackend(std::string name, SlowWhen slow)
+      : info_{std::move(name), "spins on the batches it is slow on",
+              /*vectorized=*/false, /*deterministic=*/true,
+              /*preferred_batch=*/1},
+        slow_(std::move(slow)) {}
+
+  const EvaluationBackendInfo& info() const override { return info_; }
+
+ protected:
+  void DoEvaluateBatch(const CompiledPolynomialSet& compiled,
+                       size_t poly_begin, size_t poly_end,
+                       const DenseValuation* const* scenarios,
+                       double* const* outs,
+                       size_t scenario_count) const override {
+    if (slow_(compiled, scenario_count)) {
+      const auto until =
+          std::chrono::steady_clock::now() + std::chrono::milliseconds(1);
+      while (std::chrono::steady_clock::now() < until) {
+      }
+    }
+    for (size_t s = 0; s < scenario_count; ++s) {
+      compiled.EvaluateRange(poly_begin, poly_end, *scenarios[s], outs[s]);
+    }
+  }
+
+ private:
+  EvaluationBackendInfo info_;
+  SlowWhen slow_;
+};
+
+/// Routes the whole batch through `registry` with an empty name, checks
+/// every answer bitwise against the oracle, and returns the backend that
+/// ran it.
+std::string RouteAndCheck(const EvaluationBackendRegistry& registry,
+                          const PolynomialSet& polys,
+                          const std::vector<Valuation>& scenarios,
+                          bool* measuring = nullptr) {
+  std::string ran;
+  RunBatchAndCheck(polys, scenarios, "routed",
+                   [&](const CompiledPolynomialSet& compiled,
+                       const DenseValuation* const* dense,
+                       double* const* outs, size_t n) {
+                     StatusOr<BackendRoute> route =
+                         registry.Route("", compiled, n);
+                     if (!route.ok()) return route.status();
+                     ran = route->backend()->info().name;
+                     if (measuring != nullptr) {
+                       *measuring = route->measuring();
+                     }
+                     return route->EvaluateBatch(
+                         compiled, 0, compiled.poly_count(), dense, outs, n);
+                   });
+  return ran;
 }
 
-TEST(EvaluationBackendRegistryTest, ForceNojitDegradesAutoRouting) {
-  // With PROVABS_EVAL_FORCE_NOJIT set the jit backend reports unavailable
-  // and the auto policy lands exactly where it did before the jit existed.
-  // A fresh registry keeps the probe independent of Default()'s state.
+/// RouteAndCheck until the snapshot's class for this width has settled;
+/// returns how many batches each backend ran on the way.
+std::map<std::string, uint32_t> RouteUntilSettled(
+    const EvaluationBackendRegistry& registry, const PolynomialSet& polys,
+    const std::vector<Valuation>& scenarios) {
+  std::map<std::string, uint32_t> ran;
+  for (uint32_t i = 0; i < 4 * EvaluationBackendRegistry::kMaxProbeSamples;
+       ++i) {
+    bool measuring = false;
+    const std::string name =
+        RouteAndCheck(registry, polys, scenarios, &measuring);
+    if (!measuring) break;
+    ++ran[name];
+  }
+  return ran;
+}
+
+PolynomialSet MakeSetOfSize(size_t poly_count,
+                            const std::vector<VariableId>& ids) {
+  PolynomialSet polys;
+  for (size_t p = 0; p < poly_count; ++p) {
+    polys.Add(Polynomial::FromMonomials(
+        {Monomial(1.5 + p, {{ids[p % ids.size()], 2}}),
+         Monomial(-0.25, {{ids[(p + 1) % ids.size()], 1}})}));
+  }
+  return polys;
+}
+
+std::vector<Valuation> MakeScenarios(Rng& rng,
+                                     const std::vector<VariableId>& ids,
+                                     size_t count) {
+  std::vector<Valuation> scenarios(count);
+  for (Valuation& val : scenarios) {
+    for (VariableId id : ids) val.Set(id, rng.UniformReal(-2.0, 2.0));
+  }
+  return scenarios;
+}
+
+std::vector<VariableId> MakeIds(VariableTable& vars) {
+  std::vector<VariableId> ids;
+  for (int i = 0; i < 4; ++i) {
+    ids.push_back(vars.Intern("r" + std::to_string(i)));
+  }
+  return ids;
+}
+
+TEST(MeasuredRoutingTest, FasterBackendWinsPerWidthClass) {
+  // "narrow" is slow below 8 scenarios, "wide" at 8 and above.
+  EvaluationBackendRegistry registry;
+  ASSERT_TRUE(registry
+                  .Register(std::make_unique<SpinningBackend>(
+                      "narrow", [](const CompiledPolynomialSet&, size_t n) {
+                        return n < 8;
+                      }))
+                  .ok());
+  ASSERT_TRUE(registry
+                  .Register(std::make_unique<SpinningBackend>(
+                      "wide", [](const CompiledPolynomialSet&, size_t n) {
+                        return n >= 8;
+                      }))
+                  .ok());
+  Rng rng(4242);
+  VariableTable vars;
+  const std::vector<VariableId> ids = MakeIds(vars);
+  PolynomialSet polys = MakeSetOfSize(3, ids);
+  // One width from each class: 1, 2-7, >= 8.
+  for (size_t width : {size_t{1}, size_t{3}, size_t{9}}) {
+    const std::vector<Valuation> scenarios = MakeScenarios(rng, ids, width);
+    // The probe times both candidates in alternating blocks, equally
+    // often: at least one block each, and more while the fast one's
+    // microsecond batches add up to the time floor.
+    std::map<std::string, uint32_t> ran =
+        RouteUntilSettled(registry, polys, scenarios);
+    const std::string faster = width < 8 ? "wide" : "narrow";
+    constexpr uint32_t kBlock = EvaluationBackendRegistry::kProbeBlock;
+    EXPECT_GE(ran["narrow"], kBlock) << "width " << width;
+    EXPECT_GE(ran["wide"], kBlock) << "width " << width;
+    EXPECT_LE(ran["narrow"], ran["wide"] + kBlock) << "width " << width;
+    EXPECT_LE(ran["wide"], ran["narrow"] + kBlock) << "width " << width;
+
+    // Then the class settles on the faster backend and stops timing.
+    StatusOr<BackendRoute> route =
+        registry.Route("", *polys.Compiled(), width);
+    ASSERT_TRUE(route.ok());
+    EXPECT_FALSE(route->measuring()) << "width " << width;
+    EXPECT_EQ(route->backend()->info().name, faster) << "width " << width;
+    for (int i = 0; i < 3; ++i) {
+      EXPECT_EQ(RouteAndCheck(registry, polys, scenarios), faster);
+    }
+  }
+}
+
+TEST(MeasuredRoutingTest, EachSnapshotIsMeasuredIndependently) {
+  // "p" is slow on one-polynomial snapshots, "q" on two-polynomial ones.
+  EvaluationBackendRegistry registry;
+  ASSERT_TRUE(registry
+                  .Register(std::make_unique<SpinningBackend>(
+                      "p", [](const CompiledPolynomialSet& c, size_t) {
+                        return c.poly_count() == 1;
+                      }))
+                  .ok());
+  ASSERT_TRUE(registry
+                  .Register(std::make_unique<SpinningBackend>(
+                      "q", [](const CompiledPolynomialSet& c, size_t) {
+                        return c.poly_count() == 2;
+                      }))
+                  .ok());
+  Rng rng(4343);
+  VariableTable vars;
+  const std::vector<VariableId> ids = MakeIds(vars);
+  PolynomialSet one = MakeSetOfSize(1, ids);
+  PolynomialSet two = MakeSetOfSize(2, ids);
+  const std::vector<Valuation> scenarios = MakeScenarios(rng, ids, 1);
+
+  // Interleaved traffic: each snapshot keeps its own measurements.
+  bool one_measuring = true;
+  bool two_measuring = true;
+  for (uint32_t i = 0; i < 4 * EvaluationBackendRegistry::kMaxProbeSamples &&
+                       (one_measuring || two_measuring);
+       ++i) {
+    RouteAndCheck(registry, one, scenarios, &one_measuring);
+    RouteAndCheck(registry, two, scenarios, &two_measuring);
+  }
+  EXPECT_EQ(RouteAndCheck(registry, one, scenarios), "q");
+  EXPECT_EQ(RouteAndCheck(registry, two, scenarios), "p");
+
+  // The choice lives on the snapshot: a copy shares it, while an
+  // independently compiled twin of the same polynomials measures afresh.
+  PolynomialSet copy = one;
+  StatusOr<BackendRoute> shared = registry.Route("", *copy.Compiled(), 1);
+  ASSERT_TRUE(shared.ok());
+  EXPECT_FALSE(shared->measuring());
+  EXPECT_EQ(shared->backend()->info().name, "q");
+  PolynomialSet twin = MakeSetOfSize(1, ids);
+  StatusOr<BackendRoute> fresh = registry.Route("", *twin.Compiled(), 1);
+  ASSERT_TRUE(fresh.ok());
+  EXPECT_TRUE(fresh->measuring());
+
+  // Registering a backend starts every class over, so it gets its probe.
+  ASSERT_TRUE(registry
+                  .Register(std::make_unique<SpinningBackend>(
+                      "r", [](const CompiledPolynomialSet&, size_t) {
+                        return true;
+                      }))
+                  .ok());
+  StatusOr<BackendRoute> again = registry.Route("", *one.Compiled(), 1);
+  ASSERT_TRUE(again.ok());
+  EXPECT_TRUE(again->measuring());
+}
+
+TEST(MeasuredRoutingTest, WithoutASnapshotRoutingIsCompiled) {
+  const EvaluationBackendRegistry& registry =
+      EvaluationBackendRegistry::Default();
+  for (size_t width : {size_t{0}, size_t{1}, size_t{8}, size_t{1000}}) {
+    auto backend = registry.ResolveForBatch("", width);
+    ASSERT_TRUE(backend.ok());
+    EXPECT_EQ((*backend)->info().name, "compiled") << "width " << width;
+  }
+  // A default-constructed snapshot has no memo, and an empty batch has
+  // nothing to measure: both take the snapshot-free answer untimed.
+  CompiledPolynomialSet bare;
+  StatusOr<BackendRoute> route = registry.Route("", bare, 4);
+  ASSERT_TRUE(route.ok());
+  EXPECT_EQ(route->backend()->info().name, "compiled");
+  EXPECT_FALSE(route->measuring());
+  PolynomialSet polys;
+  StatusOr<BackendRoute> empty_batch = registry.Route("", *polys.Compiled(), 0);
+  ASSERT_TRUE(empty_batch.ok());
+  EXPECT_FALSE(empty_batch->measuring());
+
+  // An explicit name resolves strictly, at any width, and is never timed —
+  // including "jit" when unavailable (it degrades internally).
+  StatusOr<BackendRoute> named = registry.Route("jit", *polys.Compiled(), 1000);
+  ASSERT_TRUE(named.ok());
+  EXPECT_EQ(named->backend()->info().name, "jit");
+  EXPECT_FALSE(named->measuring());
+  EXPECT_FALSE(registry.Route("turbo", *polys.Compiled(), 1).ok());
+
+  // An empty registry is the only hard failure.
+  EvaluationBackendRegistry empty;
+  EXPECT_FALSE(empty.ResolveForBatch("", 8).ok());
+  EXPECT_FALSE(empty.Route("", *polys.Compiled(), 8).ok());
+}
+
+TEST(MeasuredRoutingTest, ForceNojitKeepsTheJitOutOfRouting) {
+  // With PROVABS_EVAL_FORCE_NOJIT set the jit reports unavailable, so no
+  // width class ever probes or picks it. A fresh registry keeps the probe
+  // independent of Default()'s state.
   const char* saved = getenv("PROVABS_EVAL_FORCE_NOJIT");
   std::string saved_value = saved ? saved : "";
   setenv("PROVABS_EVAL_FORCE_NOJIT", "1", /*overwrite=*/1);
@@ -271,19 +489,23 @@ TEST(EvaluationBackendRegistryTest, ForceNojitDegradesAutoRouting) {
   EvaluationBackendRegistry registry;
   ASSERT_TRUE(RegisterBuiltinEvaluationBackends(registry).ok());
   EXPECT_FALSE(registry.Find("jit")->Available());
-  const uint32_t width = registry.Find("simd_batch")->info().preferred_batch;
-
-  auto single = registry.ResolveForBatch("", 1);
-  ASSERT_TRUE(single.ok());
-  EXPECT_EQ((*single)->info().name, "compiled");
-  auto batched = registry.ResolveForBatch("", width);
-  ASSERT_TRUE(batched.ok());
-  EXPECT_EQ((*batched)->info().name, "simd_batch");
-
+  Rng rng(4444);
+  VariableTable vars;
+  const std::vector<VariableId> ids = MakeIds(vars);
+  PolynomialSet polys = MakeSetOfSize(5, ids);
+  for (size_t width : {size_t{1}, size_t{9}}) {
+    const std::vector<Valuation> scenarios = MakeScenarios(rng, ids, width);
+    for (const auto& [name, count] :
+         RouteUntilSettled(registry, polys, scenarios)) {
+      EXPECT_NE(name, "jit") << count;
+    }
+    EXPECT_NE(RouteAndCheck(registry, polys, scenarios), "jit");
+  }
   // Explicit selection still works; the backend degrades internally.
-  auto explicit_jit = registry.ResolveForBatch("jit", 1);
+  StatusOr<BackendRoute> explicit_jit =
+      registry.Route("jit", *polys.Compiled(), 1);
   ASSERT_TRUE(explicit_jit.ok());
-  EXPECT_EQ((*explicit_jit)->info().name, "jit");
+  EXPECT_EQ(explicit_jit->backend()->info().name, "jit");
 
   if (saved) {
     setenv("PROVABS_EVAL_FORCE_NOJIT", saved_value.c_str(), /*overwrite=*/1);
@@ -444,9 +666,8 @@ TEST(EvaluateScenariosTest, UnknownBackendFailsListingRegistered) {
   PolynomialSet polys;
   auto results = EvaluateScenarios(polys, {Valuation{}}, "turbo");
   ASSERT_FALSE(results.ok());
-  EXPECT_NE(
-      results.status().message().find("compiled, jit, naive, simd_batch"),
-      std::string::npos);
+  EXPECT_NE(results.status().message().find("compiled, jit, simd_batch"),
+            std::string::npos);
 }
 
 // Post-abstraction coverage: backends must agree with naive on sets

@@ -142,6 +142,40 @@ TEST(CodeGeneratorTest, CodeCapIsOutOfRange) {
   EXPECT_EQ(generated.status().code(), StatusCode::kOutOfRange);
 }
 
+TEST(CodeGeneratorTest, CapBoundaryIsExact) {
+  // The cap is decided from the CSR arrays before any code is generated,
+  // so that size must be exact: the cap equal to the real blob size
+  // succeeds, one byte less fails. 40 polynomials over 40 variables cover
+  // every displacement width of both slot loads and result stores.
+  Rng rng(12);
+  VariableTable vars;
+  std::vector<VariableId> ids;
+  for (int v = 0; v < 40; ++v) {
+    ids.push_back(vars.Intern("w" + std::to_string(v)));
+  }
+  PolynomialSet polys;
+  for (int p = 0; p < 40; ++p) {
+    std::vector<Monomial> terms;
+    for (int t = 0; t < 3; ++t) {
+      terms.emplace_back(rng.UniformReal(-5.0, 5.0),
+                         std::vector<Factor>{
+                             {ids[rng.Uniform(ids.size())],
+                              static_cast<uint32_t>(1 + rng.Uniform(3))}});
+    }
+    polys.Add(Polynomial::FromMonomials(std::move(terms)));
+  }
+  auto compiled = polys.Compiled();
+  ASSERT_GT(compiled->slot_count(), 16u) << "want slots past disp8 range";
+  auto full = GeneratePolynomialSetCode(*compiled,
+                                        JitCodeCache::kDefaultMaxCodeBytes);
+  ASSERT_TRUE(full.ok()) << full.status().ToString();
+  const size_t size = full->code.size();
+  EXPECT_TRUE(GeneratePolynomialSetCode(*compiled, size).ok());
+  auto over = GeneratePolynomialSetCode(*compiled, size - 1);
+  ASSERT_FALSE(over.ok());
+  EXPECT_EQ(over.status().code(), StatusCode::kOutOfRange);
+}
+
 TEST(CodeGeneratorTest, NativeCodeMatchesInterpreterBitwise) {
   if (!JitNativeActive()) GTEST_SKIP() << "no native jit on this host";
   VariableTable vars;
@@ -245,22 +279,30 @@ TEST(JitCodeCacheTest, EvictsLruButNeverTheMostRecent) {
   (void)(*mod_b)->Eval(0, dense.data());
 }
 
-TEST(JitCodeCacheTest, EmitFailureIsCountedAndNotCached) {
+TEST(JitCodeCacheTest, EmitFailureIsRememberedNotRetried) {
   if (!JitNativeActive()) GTEST_SKIP() << "no native jit on this host";
   // max_code_bytes of 1 makes every non-empty emission fail.
   JitCodeCache cache(JitCodeCache::kDefaultByteBudget, /*max_code_bytes=*/1);
   VariableTable vars;
   PolynomialSet polys = MakeFixedSet(vars);
   auto compiled = polys.Compiled();
+  EXPECT_FALSE(cache.EmitFailed(compiled->fingerprint()));
   for (int attempt = 0; attempt < 2; ++attempt) {
     auto module = cache.GetOrEmit(*compiled);
     ASSERT_FALSE(module.ok());
     EXPECT_EQ(module.status().code(), StatusCode::kOutOfRange);
   }
   JitCodeCache::Stats stats = cache.stats();
-  EXPECT_EQ(stats.emit_failures, 2u);  // retried, never cached
+  EXPECT_EQ(stats.misses, 1u);  // one attempt; the second call remembered
+  EXPECT_EQ(stats.emit_failures, 1u);
   EXPECT_EQ(stats.resident_modules, 0u);
   EXPECT_EQ(stats.resident_bytes, 0u);
+  EXPECT_TRUE(cache.EmitFailed(compiled->fingerprint()));
+
+  // Another snapshot of the same polynomials is its own attempt.
+  PolynomialSet twin = MakeFixedSet(vars);
+  EXPECT_FALSE(cache.GetOrEmit(*twin.Compiled()).ok());
+  EXPECT_EQ(cache.stats().misses, 2u);
 }
 
 TEST(JitCodeCacheTest, ConcurrentGetOrEmitYieldsOneModule) {
@@ -352,6 +394,69 @@ TEST(JitBackendTest, EmitFailureFallsBackBitwiseEqual) {
   JitBackend::Stats stats = backend.stats();
   EXPECT_EQ(stats.fallback_emit_failed, 1u);
   EXPECT_EQ(stats.native_batches, 0u);
+}
+
+TEST(JitBackendTest, OverCapSetIsAttemptedOncePerSnapshot) {
+  if (!JitNativeActive()) GTEST_SKIP() << "no native jit on this host";
+  // A set over the code cap: the first batch makes the one generation
+  // attempt; every batch counts its fallback and stays bitwise equal.
+  JitCodeCache cache(JitCodeCache::kDefaultByteBudget, /*max_code_bytes=*/64);
+  JitBackend backend(JitBackend::Mode::kAuto, &cache);
+  Rng rng(9);
+  VariableTable vars;
+  PolynomialSet polys = MakeRandomSet(rng, vars, 30, "o");
+  for (int batch = 0; batch < 10; ++batch) {
+    Valuation val = MakeScenario(rng, vars);
+    ExpectBackendMatchesNaive(backend, polys, val,
+                              "over-cap batch " + std::to_string(batch));
+  }
+  EXPECT_EQ(cache.stats().misses, 1u);
+  EXPECT_EQ(cache.stats().emit_failures, 1u);
+  EXPECT_EQ(backend.stats().fallback_emit_failed, 10u);
+  EXPECT_EQ(backend.stats().native_batches, 0u);
+  // Routing sees the failure: this snapshot is no longer a jit candidate.
+  EXPECT_TRUE(backend.Available());
+  EXPECT_FALSE(backend.AvailableFor(*polys.Compiled()));
+}
+
+TEST(JitBackendTest, RoutingDropsTheJitAfterAFailedEmission) {
+  if (!JitNativeActive()) GTEST_SKIP() << "no native jit on this host";
+  // simd_batch and a jit whose cache refuses every set: the jit is probed
+  // once (name order puts it first), then dropped, and the class settles
+  // on simd_batch without timing the jit's fallback again.
+  JitCodeCache cache(JitCodeCache::kDefaultByteBudget, /*max_code_bytes=*/1);
+  auto owned = std::make_unique<JitBackend>(JitBackend::Mode::kAuto, &cache);
+  const JitBackend* jit = owned.get();
+  EvaluationBackendRegistry registry;
+  ASSERT_TRUE(registry.Register(std::move(owned)).ok());
+  ASSERT_TRUE(registry.Register(std::make_unique<SimdBatchBackend>()).ok());
+
+  Rng rng(10);
+  VariableTable vars;
+  PolynomialSet polys = MakeRandomSet(rng, vars, 8, "d");
+  auto compiled = polys.Compiled();
+  std::string last;
+  for (int batch = 0; batch < 12; ++batch) {
+    Valuation val = MakeScenario(rng, vars);
+    DenseValuation dense = compiled->MaterializeValuation(val);
+    std::vector<double> out(compiled->poly_count());
+    const DenseValuation* scenario = &dense;
+    double* out_ptr = out.data();
+    StatusOr<BackendRoute> route = registry.Route("", *compiled, 1);
+    ASSERT_TRUE(route.ok());
+    last = route->backend()->info().name;
+    ASSERT_TRUE(route->EvaluateBatch(*compiled, 0, compiled->poly_count(),
+                                     &scenario, &out_ptr, 1)
+                    .ok());
+    size_t i = 0;
+    for (const Polynomial& p : polys.polynomials()) {
+      ASSERT_EQ(Bits(val.Evaluate(p)), Bits(out[i])) << "batch " << batch;
+      ++i;
+    }
+  }
+  EXPECT_EQ(last, "simd_batch");
+  EXPECT_EQ(jit->stats().fallback_emit_failed, 1u);
+  EXPECT_EQ(cache.stats().misses, 1u);
 }
 
 TEST(JitBackendTest, NativeBatchesAreCountedAndBitwiseEqual) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstring>
 #include <memory>
@@ -9,6 +10,7 @@
 #include <vector>
 
 #include "abstraction/abstraction_forest.h"
+#include "algo/compressor.h"
 #include "algo/optimal_single_tree.h"
 #include "core/evaluation_backend.h"
 #include "core/valuation.h"
@@ -414,6 +416,93 @@ TEST_F(ServiceTest, ErrorsCarryStatusCodes) {
   EXPECT_EQ(service_->Load(unnamed).code, StatusCode::kInvalidArgument);
 }
 
+// Assignment validation runs against the evaluated snapshot's slot index:
+// exactly the variables occurring in the evaluated polynomials are
+// accepted, with the same codes and messages whichever way a name fails.
+TEST_F(ServiceTest, EvaluateValidatesAssignmentsAgainstTheEvaluatedView) {
+  EvaluateRequest req;
+  req.artifact = "ex";
+  req.compressed = true;
+  req.forest = "plans";
+  req.algo = "opt";
+  req.bound = polys_.SizeM() - 1;
+  // Learn which plan leaves the cut merged and which meta-variable
+  // survived.
+  CompressRequest compress;
+  compress.artifact = "ex";
+  compress.forest = "plans";
+  compress.bound = req.bound;
+  Response cut = service_->Compress(compress);
+  ASSERT_TRUE(cut.ok()) << cut.message;
+  std::string meta;
+  for (const char* inner :
+       {"Plans", "Business", "SB", "Special", "F", "Y", "Standard"}) {
+    const std::string label = inner;
+    if (cut.vvs.find("{" + label + ",") != std::string::npos ||
+        cut.vvs.find(" " + label + ",") != std::string::npos ||
+        cut.vvs.find(" " + label + "}") != std::string::npos) {
+      meta = label;
+    }
+  }
+  ASSERT_FALSE(meta.empty()) << cut.vvs;
+
+  const std::string kAbstracted =
+      "variable 'b1' does not occur in the compressed view (set its "
+      "surviving meta-variable instead)";
+  // An abstracted-away leaf.
+  req.assignments = {{"b1", 0.5}};
+  Response leaf = service_->Evaluate(req);
+  EXPECT_EQ(leaf.code, StatusCode::kNotFound);
+  EXPECT_EQ(leaf.message, kAbstracted);
+  // A name the artifact has never seen gets the same compressed-view text.
+  req.assignments = {{"no_such_var", 0.5}};
+  Response unknown = service_->Evaluate(req);
+  EXPECT_EQ(unknown.code, StatusCode::kNotFound);
+  EXPECT_EQ(unknown.message,
+            "variable 'no_such_var' does not occur in the compressed view "
+            "(set its surviving meta-variable instead)");
+  // The surviving meta-variable is accepted and changes the answer exactly
+  // as the oracle does on the compressed view.
+  req.assignments = {{meta, 0.5}, {"m1", 0.25}};
+  Response survivor = service_->Evaluate(req);
+  ASSERT_TRUE(survivor.ok()) << survivor.message;
+  {
+    const Compressor* compressor = CompressorRegistry::Default().Find("opt");
+    ASSERT_NE(compressor, nullptr);
+    AbstractionForest forest;
+    forest.AddTree(MakeFigure2PlansTree(vars_));
+    CompressOptions options;
+    options.bound = req.bound;
+    auto cold = compressor->Compress(polys_, forest, options);
+    ASSERT_TRUE(cold.ok()) << cold.status().ToString();
+    PolynomialSet view = cold->Apply(forest, polys_);
+    Valuation val;
+    val.Set(vars_.Find(meta), 0.5);
+    val.Set(vars_.Find("m1"), 0.25);
+    EXPECT_EQ(survivor.values, val.EvaluateAll(view));
+  }
+
+  // The full-provenance path: every leaf occurring in P is accepted, and
+  // an unknown name keeps its own message.
+  req.compressed = false;
+  req.assignments = {{"b1", 0.5}, {"m1", 0.25}};
+  Response full = service_->Evaluate(req);
+  ASSERT_TRUE(full.ok()) << full.message;
+  Valuation val;
+  val.Set(vars_.Find("b1"), 0.5);
+  val.Set(vars_.Find("m1"), 0.25);
+  EXPECT_EQ(full.values, val.EvaluateAll(polys_));
+  req.assignments = {{"no_such_var", 0.5}};
+  Response full_unknown = service_->Evaluate(req);
+  EXPECT_EQ(full_unknown.code, StatusCode::kNotFound);
+  EXPECT_EQ(full_unknown.message, "unknown variable 'no_such_var'");
+  // The meta-variable labels a forest node but does not occur in P.
+  req.assignments = {{meta, 0.5}};
+  Response full_meta = service_->Evaluate(req);
+  EXPECT_EQ(full_meta.code, StatusCode::kNotFound);
+  EXPECT_EQ(full_meta.message, "unknown variable '" + meta + "'");
+}
+
 TEST_F(ServiceTest, TradeoffReturnsParetoFrontier) {
   TradeoffRequest req;
   req.artifact = "ex";
@@ -523,18 +612,14 @@ TEST_F(ServiceTest, ListBackendsReturnsCapabilityRecords) {
   Response resp = service_->ListBackends(ListBackendsRequest{});
   ASSERT_TRUE(resp.ok());
   EXPECT_EQ(resp.request_kind, MessageKind::kListBackendsRequest);
-  ASSERT_EQ(resp.backends.size(), 4u);
+  ASSERT_EQ(resp.backends.size(), 3u);
   EXPECT_EQ(resp.backends[0].name, "compiled");
   EXPECT_FALSE(resp.backends[0].vectorized);
   EXPECT_EQ(resp.backends[1].name, "jit");
   EXPECT_FALSE(resp.backends[1].vectorized);
-  EXPECT_EQ(resp.backends[2].name, "naive");
-  EXPECT_EQ(resp.backends[3].name, "simd_batch");
-  EXPECT_TRUE(resp.backends[3].vectorized);
-  EXPECT_GT(resp.backends[3].preferred_batch, 1u);
-  // Tiers travel over the wire so clients can route by speed preference.
-  EXPECT_GT(resp.backends[1].tier, resp.backends[3].tier);  // jit > simd
-  EXPECT_GT(resp.backends[3].tier, resp.backends[0].tier);  // simd > compiled
+  EXPECT_EQ(resp.backends[2].name, "simd_batch");
+  EXPECT_TRUE(resp.backends[2].vectorized);
+  EXPECT_GT(resp.backends[2].preferred_batch, 1u);
   for (const EvalBackendCapability& b : resp.backends) {
     EXPECT_TRUE(b.deterministic) << b.name;
     EXPECT_FALSE(b.summary.empty()) << b.name;
@@ -547,8 +632,8 @@ TEST_F(ServiceTest, ListBackendsReturnsCapabilityRecords) {
   auto decoded = DecodeResponse(reply);
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
   EXPECT_TRUE(decoded->ok());
-  ASSERT_EQ(decoded->backends.size(), 4u);
-  EXPECT_EQ(decoded->backends[3].name, "simd_batch");
+  ASSERT_EQ(decoded->backends.size(), 3u);
+  EXPECT_EQ(decoded->backends[2].name, "simd_batch");
   EXPECT_FALSE(shutdown);
 }
 
@@ -558,7 +643,22 @@ TEST_F(ServiceTest, EvaluateRoutesThroughNamedBackend) {
   req.assignments = {{"m1", 0.5}, {"b1", 0.0}};
   Response reference = service_->Evaluate(req);
   ASSERT_TRUE(reference.ok()) << reference.message;
-  EXPECT_TRUE(reference.eval_backend.empty());  // auto policy echoed as ""
+  // An auto-routed request reports the registered backend that ran it —
+  // through the probe and after the snapshot's choice has settled.
+  const std::vector<std::string> names =
+      EvaluationBackendRegistry::Default().Names();
+  for (uint32_t i = 0; i < 4 * EvaluationBackendRegistry::kProbeSamples;
+       ++i) {
+    Response routed = service_->Evaluate(req);
+    ASSERT_TRUE(routed.ok()) << routed.message;
+    EXPECT_NE(std::find(names.begin(), names.end(), routed.eval_backend),
+              names.end())
+        << "'" << routed.eval_backend << "'";
+    EXPECT_EQ(routed.values, reference.values);
+  }
+  EXPECT_NE(std::find(names.begin(), names.end(), reference.eval_backend),
+            names.end())
+      << "'" << reference.eval_backend << "'";
 
   // Every registered backend returns bitwise-identical values and echoes
   // its name.
@@ -729,6 +829,28 @@ TEST_F(ScenarioServiceTest, ThousandScenarioRequestMatchesIndividualEvaluates) {
     std::memcpy(&want, &resp.values[i], sizeof(want));
     std::memcpy(&have, &chunked_resp.values[i], sizeof(have));
     ASSERT_EQ(want, have) << "chunked value " << i;
+  }
+
+  // Each response names the backends that ran it: one for the single
+  // chunk, and for 143 chunks every backend routing probed on the way —
+  // registered names, each once.
+  const std::vector<std::string> names =
+      EvaluationBackendRegistry::Default().Names();
+  EXPECT_NE(std::find(names.begin(), names.end(), resp.eval_backend),
+            names.end())
+      << resp.eval_backend;
+  std::vector<std::string> ran;
+  std::string rest = chunked_resp.eval_backend;
+  for (size_t comma; (comma = rest.find(',')) != std::string::npos;
+       rest = rest.substr(comma + 1)) {
+    ran.push_back(rest.substr(0, comma));
+  }
+  ran.push_back(rest);
+  for (const std::string& name : ran) {
+    EXPECT_NE(std::find(names.begin(), names.end(), name), names.end())
+        << chunked_resp.eval_backend;
+    EXPECT_EQ(std::count(ran.begin(), ran.end(), name), 1)
+        << chunked_resp.eval_backend;
   }
 }
 

@@ -95,7 +95,7 @@ TEST(WireProtocolTest, EvaluateRequestRoundTrip) {
   EXPECT_EQ(decoded->bound, 1500u);
   EXPECT_EQ(decoded->eval_backend, "simd_batch");
 
-  // The default is the empty name — registry auto policy server-side.
+  // The default is the empty name — measured routing server-side.
   auto defaulted = DecodeEvaluateRequest(EncodeEvaluateRequest(EvaluateRequest{}));
   ASSERT_TRUE(defaulted.ok());
   EXPECT_TRUE(defaulted->eval_backend.empty());
@@ -230,10 +230,10 @@ TEST(WireProtocolTest, ListBackendsResponseRoundTrip) {
 
   Response resp;
   resp.request_kind = MessageKind::kListBackendsRequest;
-  resp.backends = {{"compiled", "single-scenario CSR walk", false, true, 1, 1},
+  resp.backends = {{"compiled", "single-scenario CSR walk", false, true, 1},
                    {"simd_batch", "SoA lanes, AVX2 when available", true,
-                    true, 8, 2},
-                   {"jit", "per-artifact native code", false, true, 1, 3}};
+                    true, 8},
+                   {"jit", "per-artifact native code", false, true, 1}};
   auto decoded = DecodeResponse(EncodeResponse(resp));
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
   ASSERT_EQ(decoded->backends.size(), 3u);
@@ -242,27 +242,43 @@ TEST(WireProtocolTest, ListBackendsResponseRoundTrip) {
   EXPECT_FALSE(decoded->backends[0].vectorized);
   EXPECT_TRUE(decoded->backends[0].deterministic);
   EXPECT_EQ(decoded->backends[0].preferred_batch, 1u);
-  EXPECT_EQ(decoded->backends[0].tier, 1u);
   EXPECT_EQ(decoded->backends[1].name, "simd_batch");
   EXPECT_TRUE(decoded->backends[1].vectorized);
   EXPECT_EQ(decoded->backends[1].preferred_batch, 8u);
-  EXPECT_EQ(decoded->backends[1].tier, 2u);
-  // Tier shares the flags byte (bits 2-3) with the bool bits; all four
-  // combinations of (vectorized, tier) must survive the round trip.
   EXPECT_EQ(decoded->backends[2].name, "jit");
   EXPECT_FALSE(decoded->backends[2].vectorized);
   EXPECT_TRUE(decoded->backends[2].deterministic);
-  EXPECT_EQ(decoded->backends[2].tier, 3u);
+}
+
+TEST(WireProtocolTest, BackendFlagSpareBitsAreIgnored) {
+  // Servers from before measured routing sent a speed tier in bits 2-3 of
+  // a backend record's flags byte. Decoders read only bits 0-1, so such a
+  // record still decodes to the same capability.
+  Response resp;
+  resp.request_kind = MessageKind::kListBackendsRequest;
+  resp.backends = {{"jit", "per-artifact native code", false, true, 1}};
+  std::string bytes = EncodeResponse(resp);
+  const std::string summary = "per-artifact native code";
+  const size_t flags_at = bytes.find(summary) + summary.size();
+  ASSERT_LT(flags_at, bytes.size());
+  ASSERT_EQ(static_cast<uint8_t>(bytes[flags_at]), 2u);  // deterministic
+  bytes[flags_at] = static_cast<char>(2u | (3u << 2));   // + old tier 3
+  auto decoded = DecodeResponse(bytes);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  ASSERT_EQ(decoded->backends.size(), 1u);
+  EXPECT_FALSE(decoded->backends[0].vectorized);
+  EXPECT_TRUE(decoded->backends[0].deterministic);
+  EXPECT_EQ(decoded->backends[0].preferred_batch, 1u);
 }
 
 TEST(WireProtocolTest, EvalBackendEchoRoundTrip) {
   Response resp;
   resp.request_kind = MessageKind::kEvaluateRequest;
   resp.values = {2.0};
-  resp.eval_backend = "naive";
+  resp.eval_backend = "simd_batch";
   auto decoded = DecodeResponse(EncodeResponse(resp));
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-  EXPECT_EQ(decoded->eval_backend, "naive");
+  EXPECT_EQ(decoded->eval_backend, "simd_batch");
 }
 
 TEST(WireProtocolTest, InfoTradeoffShutdownRoundTrip) {
@@ -411,7 +427,7 @@ TEST(WireProtocolTest, TruncationSweepAllMessages) {
   resp.vvs = "{r}";
   resp.algos = {{"opt", "optimal DP", true, true, true, true}};
   resp.eval_backend = "simd_batch";
-  resp.backends = {{"simd_batch", "SoA lanes", true, true, 8, 2}};
+  resp.backends = {{"simd_batch", "SoA lanes", true, true, 8}};
 
   struct Case {
     std::string encoded;

@@ -3,10 +3,21 @@
 # nonzero exit. Benches are not part of ctest, so without this they only
 # ever compile in CI and can bit-rot at runtime (stale flags, renamed
 # registry algorithms, workload API drift). This is a liveness check, not a
-# measurement: timings printed here are meaningless — with SIX machine-
-# keyed exceptions, each only checked when the current MACHINEKEY (cpu
-# model) matches the cpu recorded in the reference JSON; on other machines
-# the thresholds are skipped (noise):
+# measurement: timings printed here are meaningless — with one gate that
+# holds on every host, and SIX machine-keyed exceptions.
+#
+# The host-independent gate:
+#   - bench_evaluate_kernel ROUTESTAT lines: at batch widths 1, 8 and 40,
+#     auto-routing (EvaluationBackendRegistry::Route with no name) must run
+#     at >= 0.9x the best explicitly named backend. Each line is a
+#     same-run, interleaved-trial ratio, so it carries across hosts; the
+#     gate takes the median over the bench's workloads at each width, so
+#     one workload caught in a burst of host noise cannot fail it, while a
+#     routing policy that systematically picks a slower backend does.
+#
+# The machine-keyed exceptions are each only checked when the current
+# MACHINEKEY (cpu model) matches the cpu recorded in the reference JSON; on
+# other machines the thresholds are skipped (noise):
 #   - bench_evaluate_kernel (vs BENCH_evaluate.json): the simd_batch
 #     backend must not fall below 1.0x the single-scenario compiled loop at
 #     the recorded batch width. A vectorized backend slower than the scalar
@@ -88,9 +99,29 @@ for bench in "$BENCH_DIR"/bench_*; do
   rm -f /tmp/bench_smoke_err.$$
 done
 
+# Routing gate (every host): median ROUTESTAT ratio per batch width.
+EVAL_OUT=/tmp/bench_smoke_eval.$$
+if [ -s "$EVAL_OUT" ]; then
+  for width in 1 8 40; do
+    median=$(awk -v width="$width" '$1 == "ROUTESTAT" && $3 == "batch=" width {
+      for (i = 1; i <= NF; i++) if ($i ~ /^ratio=/) { sub("ratio=", "", $i); print $i }
+    }' "$EVAL_OUT" | sort -g | awk '{ v[NR] = $1 } END {
+      if (NR == 0) print "none"; else print v[int((NR + 1) / 2)] }')
+    if [ "$median" = "none" ]; then
+      echo "FAILED: no ROUTESTAT lines at batch $width" >&2
+      failures=$((failures + 1))
+    elif awk -v m="$median" 'BEGIN { exit !(m + 0 < 0.9) }'; then
+      echo "FAILED: auto-routing at ${median}x the best explicit backend at batch $width (median over workloads, floor 0.9):" >&2
+      grep "^ROUTESTAT .* batch=$width " "$EVAL_OUT" | sed 's/^/    /' >&2
+      failures=$((failures + 1))
+    else
+      echo "bench_smoke: auto-routing at ${median}x the best explicit backend at batch $width (median over workloads, floor 0.9)"
+    fi
+  done
+fi
+
 # Threshold the batched-arm ratios, keyed by machine: only meaningful on
 # the CPU the reference numbers were recorded on.
-EVAL_OUT=/tmp/bench_smoke_eval.$$
 REFERENCE_JSON="$(cd "$(dirname "$0")/.." && pwd)/BENCH_evaluate.json"
 if [ -s "$EVAL_OUT" ] && [ -f "$REFERENCE_JSON" ]; then
   recorded_cpu=$(sed -n 's/^[[:space:]]*"cpu": "\(.*\)",*$/\1/p' "$REFERENCE_JSON" | head -1)

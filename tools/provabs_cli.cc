@@ -102,16 +102,13 @@ void PrintAlgoLine(std::FILE* out, const std::string& name,
 /// server's ListBackends records) so the two renderings cannot drift.
 void PrintBackendLine(std::FILE* out, const std::string& name,
                       const std::string& summary, bool vectorized,
-                      bool deterministic, uint64_t preferred_batch,
-                      uint32_t tier) {
+                      bool deterministic, uint64_t preferred_batch) {
   std::string caps;
   if (vectorized) caps += ", simd";
   if (!deterministic) caps += ", nondeterministic";
   if (preferred_batch > 1) {
     caps += ", batch>=" + std::to_string(preferred_batch);
   }
-  // Auto-routing prefers the highest tier, so the listing shows it.
-  caps += ", tier=" + std::to_string(tier);
   std::fprintf(out, "  %-10s %s%s\n", name.c_str(), summary.c_str(),
                caps.c_str());
 }
@@ -130,7 +127,7 @@ void PrintUsage(std::FILE* out) {
   for (const EvaluationBackendInfo& info :
        EvaluationBackendRegistry::Default().Infos()) {
     PrintBackendLine(out, info.name, info.summary, info.vectorized,
-                     info.deterministic, info.preferred_batch, info.tier);
+                     info.deterministic, info.preferred_batch);
   }
 }
 
@@ -146,7 +143,7 @@ bool ValidateAlgo(const std::string& algo, const char* cmd) {
 }
 
 /// Strict --eval-backend validation, same contract as ValidateAlgo. An
-/// empty name (flag absent) is valid: the registry's auto policy routes.
+/// empty name (flag absent) is valid: measured routing picks.
 bool ValidateEvalBackend(const std::string& backend, const char* cmd) {
   if (backend.empty() ||
       EvaluationBackendRegistry::Default().Find(backend) != nullptr) {
@@ -750,9 +747,9 @@ int CmdScenario(const Args& args) {
     Status expand = program->ExpandChunk(begin, end, &chunk);
     if (!expand.ok()) return Fail(expand);
     const size_t n = chunk.size();
-    StatusOr<const EvaluationBackend*> resolved =
-        EvaluationBackendRegistry::Default().ResolveForBatch(backend, n);
-    if (!resolved.ok()) return Fail(resolved.status());
+    StatusOr<BackendRoute> route =
+        EvaluationBackendRegistry::Default().Route(backend, *compiled, n);
+    if (!route.ok()) return Fail(route.status());
     std::vector<const DenseValuation*> ptrs(n);
     std::vector<std::vector<double>> outs(n,
                                           std::vector<double>(poly_count));
@@ -761,8 +758,8 @@ int CmdScenario(const Args& args) {
       ptrs[i] = &chunk[i];
       out_ptrs[i] = outs[i].data();
     }
-    Status eval = (*resolved)->EvaluateBatch(*compiled, 0, poly_count,
-                                             ptrs.data(), out_ptrs.data(), n);
+    Status eval = route->EvaluateBatch(*compiled, 0, poly_count, ptrs.data(),
+                                       out_ptrs.data(), n);
     if (!eval.ok()) return Fail(eval);
     for (size_t i = 0; i < n; ++i) {
       if (!shaped) {
@@ -999,7 +996,7 @@ int CmdRemoteInfo(const Args& args) {
   std::printf("evaluation backends:\n");
   for (const EvalBackendCapability& b : backends->backends) {
     PrintBackendLine(stdout, b.name, b.summary, b.vectorized,
-                     b.deterministic, b.preferred_batch, b.tier);
+                     b.deterministic, b.preferred_batch);
   }
   return 0;
 }
@@ -1112,11 +1109,13 @@ int CmdRemoteEvaluate(const Args& args) {
   for (size_t i = 0; i < resp->values.size(); ++i) {
     std::printf("polynomial %zu: %.6f\n", i, resp->values[i]);
   }
-  std::printf("(%zu polynomials in %.4fs%s)\n", resp->values.size(), elapsed,
+  std::printf("(%zu polynomials in %.4fs%s, backend: %s)\n",
+              resp->values.size(), elapsed,
               !req.compressed      ? ""
               : resp->cache_hit    ? ", compressed, cache: hit"
               : resp->dedup_hit    ? ", compressed, cache: dedup"
-                                   : ", compressed, cache: miss");
+                                   : ", compressed, cache: miss",
+              resp->eval_backend.c_str());
   return 0;
 }
 
@@ -1195,13 +1194,14 @@ int CmdRemoteScenario(const Args& args) {
       PrintValueRow(resp->values.data() + i * poly_count, poly_count);
     }
   }
-  std::printf("(%llu scenarios in %.4fs, program cache: %s%s)\n",
+  std::printf("(%llu scenarios in %.4fs, program cache: %s%s, backend: %s)\n",
               static_cast<unsigned long long>(resp->scenario_count), elapsed,
               resp->program_cache_hit ? "hit" : "miss",
               !req.compressed      ? ""
               : resp->cache_hit    ? ", compressed, cache: hit"
               : resp->dedup_hit    ? ", compressed, cache: dedup"
-                                   : ", compressed, cache: miss");
+                                   : ", compressed, cache: miss",
+              resp->eval_backend.c_str());
   return 0;
 }
 
