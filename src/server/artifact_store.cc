@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "algo/optimal_single_tree.h"
+#include "common/macros.h"
 #include "core/compiled_polynomial_set.h"
 #include "io/byte_stream.h"
 #include "io/serializer.h"
@@ -17,11 +18,11 @@ size_t ApproxPolynomialSetBytes(const PolynomialSet& polys) {
       bytes += 48 + m.factors().size() * sizeof(Factor);
     }
   }
-  // Every cached set is served to evaluate requests through its compiled
-  // CSR form, which lives inside the set (lazy cache) and is evicted and
-  // invalidated with it — so its bytes belong to the same budget entry.
-  // Calling Compiled() here also WARMS the form: anything whose bytes the
-  // store accounts is compile-free on the request path by construction.
+  // Every served set is evaluated through its compiled CSR form, which
+  // lives inside the set (lazy cache) and is evicted and invalidated with
+  // it — so its bytes belong to the same budget entry. Calling Compiled()
+  // here also WARMS the form: anything whose bytes the store accounts is
+  // compile-free on the request path by construction.
   bytes += polys.Compiled()->ApproxBytes();
   return bytes;
 }
@@ -267,16 +268,15 @@ std::shared_ptr<const ArtifactStore::CompressedResult>
 ArtifactStore::InsertResultSlot(const std::string& slot_key,
                                 CompressedResult result) {
   auto shared = std::make_shared<CompressedResult>(std::move(result));
-  shared->approx_bytes =
-      ApproxPolynomialSetBytes(shared->compressed) + shared->vvs_names.size();
+  // The view is charged when CompressedView builds it, not here.
+  Slot slot;
+  slot.bytes = sizeof(CompressedResult) + shared->vvs_names.size();
   if (shared->algo_result.dp_state != nullptr) {
-    shared->approx_bytes += ApproxDpStateBytes(*shared->algo_result.dp_state);
+    slot.bytes += ApproxDpStateBytes(*shared->algo_result.dp_state);
   }
+  slot.result = shared;
   Shard& shard = ShardFor(slot_key);
   std::lock_guard<std::mutex> lock(shard.mutex);
-  Slot slot;
-  slot.result = shared;
-  slot.bytes = shared->approx_bytes;
   InsertSlot(shard, slot_key, std::move(slot));
   return shared;
 }
@@ -284,6 +284,39 @@ ArtifactStore::InsertResultSlot(const std::string& slot_key,
 std::shared_ptr<const ArtifactStore::CompressedResult>
 ArtifactStore::InsertResult(const ResultKey& key, CompressedResult result) {
   return InsertResultSlot(ResultSlotKey(key), std::move(result));
+}
+
+std::shared_ptr<const PolynomialSet> ArtifactStore::CompressedView(
+    const ResultKey& key,
+    const std::shared_ptr<const CompressedResult>& result,
+    const Artifact& artifact) {
+  CompressedResult::ViewCell& cell = *result->view_cell_;
+  std::lock_guard<std::mutex> lock(cell.mutex);
+  if (cell.view == nullptr) {
+    PROVABS_CHECK(artifact.generation == key.generation);
+    const AbstractionForest* forest = artifact.FindForest(key.forest);
+    PROVABS_CHECK(forest != nullptr);
+    auto view = std::make_shared<const PolynomialSet>(
+        result->algo_result.Apply(*forest, artifact.polys));
+    ChargeResultSlot(ResultSlotKey(key), result.get(),
+                     ApproxPolynomialSetBytes(*view));
+    cell.view = std::move(view);
+  }
+  return std::shared_ptr<const PolynomialSet>(result, cell.view.get());
+}
+
+void ArtifactStore::ChargeResultSlot(const std::string& slot_key,
+                                     const CompressedResult* result,
+                                     size_t bytes) {
+  Shard& shard = ShardFor(slot_key);
+  std::lock_guard<std::mutex> lock(shard.mutex);
+  auto it = shard.slots.find(slot_key);
+  if (it == shard.slots.end() || it->second.result.get() != result) return;
+  it->second.bytes += bytes;
+  shard.used_bytes += bytes;
+  used_bytes_total_.fetch_add(bytes, std::memory_order_relaxed);
+  Touch(shard, it);
+  EvictToBudget(shard);
 }
 
 std::shared_ptr<const scenario::ScenarioProgram> ArtifactStore::LookupProgram(

@@ -74,12 +74,12 @@ struct Artifact {
 /// byte-budget accounting (exact heap accounting is not worth the
 /// bookkeeping; the estimate is within a small constant of malloc reality).
 /// Includes — and warms — the set's compiled CSR evaluation form
-/// (core/compiled_polynomial_set.h): both artifact loads and compressed-
-/// result inserts pass through this estimator, so every cached set is
-/// compiled before it is ever served and evaluate requests never compile.
-/// The compiled form is keyed by the artifact's lifetime itself (it lives
-/// inside the cached set), so generation bumps and LRU eviction invalidate
-/// it together with the entry whose budget it was charged to.
+/// (core/compiled_polynomial_set.h): artifact loads and compressed-view
+/// builds (ArtifactStore::CompressedView) both pass through this
+/// estimator, so every set the store serves is compiled before its first
+/// evaluation reads it and evaluate requests never compile. The compiled
+/// form lives inside the set, so generation bumps and LRU eviction
+/// invalidate it together with the entry whose budget it was charged to.
 size_t ApproxPolynomialSetBytes(const PolynomialSet& polys);
 
 /// Byte-budgeted LRU cache over two kinds of entries: deserialized
@@ -152,25 +152,41 @@ class ArtifactStore {
     std::string algo;
   };
 
-  /// A cached compression: the loss report plus the compressed polynomial
-  /// set (kept so evaluate-over-compressed requests skip both the
-  /// algorithm run and the substitution). `algo` in the key names any
-  /// registered compressor, so caching and single-flight dedup compose
-  /// identically for all of them — including the exponential "brute" and
-  /// "prox", where skipping a repeat run matters most.
+  /// A cached compression: the loss report, the cut description and the
+  /// algorithm-layer result, so a repeat Compress skips the algorithm run.
+  /// `algo` in the key names any registered compressor, so caching and
+  /// single-flight dedup compose identically for all of them — including
+  /// the exponential "brute" and "prox", where skipping a repeat run
+  /// matters most.
+  ///
+  /// Filling an entry builds no compressed view: Compress answers
+  /// |P↓S|_M as |P|_M − monomial_loss. The view P↓S is built, compiled and
+  /// charged to the entry by the first compressed evaluation that needs it
+  /// (CompressedView), at most once per entry. Until then the entry is
+  /// charged its retained DP state plus its VVS string.
   struct CompressedResult {
     LossReport loss;
     bool adequate = false;
     std::string vvs_names;
-    PolynomialSet compressed;
-    size_t approx_bytes = 0;
     /// The algorithm-layer result this entry was built from, retained in
     /// memory only (its dp_state is never serialized). When the algorithm
     /// produced retained DP tables, a later generation's compression can
-    /// hand them to OptimalRecompress instead of re-running the full DP.
+    /// hand them to OptimalRecompress instead of re-running the full DP;
+    /// CompressedView applies it to build the view.
     CompressionResult algo_result;
     /// True when this entry itself was produced by the patch path.
     bool delta_patched = false;
+
+   private:
+    friend class ArtifactStore;
+    /// The view, built once under `mutex` (held across the build, so
+    /// concurrent first evaluators wait for one Apply). Heap-held so a
+    /// result stays movable into the cache.
+    struct ViewCell {
+      std::mutex mutex;
+      std::shared_ptr<const PolynomialSet> view;  // guarded by mutex
+    };
+    std::unique_ptr<ViewCell> view_cell_ = std::make_unique<ViewCell>();
   };
 
   /// Cache lookup; counts a hit or miss. nullptr on miss.
@@ -183,10 +199,22 @@ class ArtifactStore {
   std::shared_ptr<const CompressedResult> PeekResult(const ResultKey& key);
 
   /// Inserts a computed result (last-writer-wins on racing identical keys)
-  /// and returns the cached object, so the caller shares the allocation
-  /// instead of copying the compressed polynomial set.
+  /// and returns the cached object.
   std::shared_ptr<const CompressedResult> InsertResult(
       const ResultKey& key, CompressedResult result);
+
+  /// The compressed view P↓S of `result`, the entry cached under `key`,
+  /// built from `artifact` (which must be the generation `key` names) on
+  /// first use. A result builds its view at most once: concurrent first
+  /// callers wait for one Apply. The build compiles the view and charges
+  /// its ApproxPolynomialSetBytes to the result's slot, evicting the shard
+  /// down to its budget; nothing is charged when the slot was evicted or
+  /// replaced meanwhile. The returned pointer aliases `result`, so the
+  /// view lives exactly as long as some holder of its entry.
+  std::shared_ptr<const PolynomialSet> CompressedView(
+      const ResultKey& key,
+      const std::shared_ptr<const CompressedResult>& result,
+      const Artifact& artifact);
 
   /// Produces the result to publish for an uncached key. Runs on the
   /// calling thread with no store or registry lock held.
@@ -310,6 +338,10 @@ class ArtifactStore {
   /// Installs/replaces a slot and evicts the shard down to its budget.
   /// Requires shard.mutex.
   void InsertSlot(Shard& shard, const std::string& slot_key, Slot slot);
+  /// Adds `bytes` to the slot at `slot_key` if it still holds `result`,
+  /// refreshes its recency and evicts the shard down to its budget.
+  void ChargeResultSlot(const std::string& slot_key,
+                        const CompressedResult* result, size_t bytes);
   /// Evicts the shard's LRU entries until within budget (keeping ≥1
   /// entry). Requires shard.mutex.
   void EvictToBudget(Shard& shard);

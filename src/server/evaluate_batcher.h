@@ -41,8 +41,8 @@ namespace provabs {
 /// width.
 ///
 /// The caller thread resolves the compiled form (cached on the set — for
-/// server artifacts it is warmed at load/insert time, so this never
-/// compiles on the request path) and materializes its valuation into a
+/// server artifacts and views it is warmed when the set is built, so this
+/// never compiles on the request path) and materializes its valuation into a
 /// dense slot array before queueing, so pool workers run pure flat-array
 /// walks. Results are bitwise identical to `Valuation::Evaluate` per
 /// polynomial, whichever backend serves the group.

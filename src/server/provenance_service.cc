@@ -169,7 +169,6 @@ ProvenanceService::ComputeCompression(
   computed.loss = result->loss;
   computed.adequate = result->adequate;
   computed.vvs_names = result->Describe(forest, *artifact->vars);
-  computed.compressed = result->Apply(forest, artifact->polys);
   computed.algo_result = std::move(*result);
   computed.delta_patched = patched;
   return computed;
@@ -178,23 +177,20 @@ ProvenanceService::ComputeCompression(
 std::shared_ptr<const ArtifactStore::CompressedResult>
 ProvenanceService::CompressInternal(
     const std::shared_ptr<const Artifact>& artifact,
-    const std::string& artifact_name, const std::string& forest_name,
-    const std::string& algo, uint64_t bound, Response& resp) {
-  const AbstractionForest* forest = artifact->FindForest(forest_name);
+    const ArtifactStore::ResultKey& key, Response& resp) {
+  const AbstractionForest* forest = artifact->FindForest(key.forest);
   if (forest == nullptr) {
-    SetError(resp, Status::NotFound("artifact '" + artifact_name +
-                                    "' has no forest '" + forest_name + "'"));
+    SetError(resp, Status::NotFound("artifact '" + key.artifact +
+                                    "' has no forest '" + key.forest + "'"));
     return nullptr;
   }
   StatusOr<const Compressor*> compressor =
-      CompressorRegistry::Default().Resolve(algo);
+      CompressorRegistry::Default().Resolve(key.algo);
   if (!compressor.ok()) {
     SetError(resp, compressor.status());
     return nullptr;
   }
 
-  ArtifactStore::ResultKey key{artifact_name, artifact->generation,
-                               forest_name, bound, algo};
   // Single-flight: the first request for this key runs the algorithm on
   // this thread; concurrent identical requests block on its outcome instead
   // of computing twice; distinct keys proceed fully in parallel. A failed
@@ -218,8 +214,28 @@ ProvenanceService::CompressInternal(
   resp.variable_loss = (*cached)->loss.variable_loss;
   resp.adequate = (*cached)->adequate;
   resp.vvs = (*cached)->vvs_names;
-  resp.compressed_monomials = (*cached)->compressed.SizeM();
+  // |P↓S|_M from the loss alone, so Compress never builds the view. Equal
+  // to the view's SizeM() unless merged coefficients cancel to zero, which
+  // provenance coefficients never do (see Response::compressed_monomials).
+  resp.compressed_monomials =
+      artifact->polys.SizeM() - (*cached)->loss.monomial_loss;
   return *cached;
+}
+
+std::shared_ptr<const PolynomialSet> ProvenanceService::ResolveTarget(
+    const std::shared_ptr<const Artifact>& artifact,
+    const std::string& artifact_name, bool compressed,
+    const std::string& forest, const std::string& algo, uint64_t bound,
+    Response& resp) {
+  if (!compressed) {
+    return std::shared_ptr<const PolynomialSet>(artifact, &artifact->polys);
+  }
+  ArtifactStore::ResultKey key{artifact_name, artifact->generation, forest,
+                               bound, algo};
+  std::shared_ptr<const ArtifactStore::CompressedResult> result =
+      CompressInternal(artifact, key, resp);
+  if (result == nullptr) return nullptr;
+  return store_.CompressedView(key, result, *artifact);
 }
 
 Response ProvenanceService::Compress(const CompressRequest& req) {
@@ -230,7 +246,9 @@ Response ProvenanceService::Compress(const CompressRequest& req) {
     SetError(resp,
              Status::NotFound("artifact '" + req.artifact + "' not loaded"));
   } else {
-    CompressInternal(artifact, req.artifact, req.forest, req.algo, req.bound,
+    CompressInternal(artifact,
+                     {req.artifact, artifact->generation, req.forest,
+                      req.bound, req.algo},
                      resp);
   }
   AttachStats(resp);
@@ -240,6 +258,18 @@ Response ProvenanceService::Compress(const CompressRequest& req) {
 Response ProvenanceService::Evaluate(const EvaluateRequest& req) {
   Response resp;
   resp.request_kind = MessageKind::kEvaluateRequest;
+  // An explicit backend name is validated up front so a typo fails with
+  // the registry's name-listing error before any work is done; "" keeps
+  // the registry's measured routing, which picks per coalesced batch.
+  if (!req.eval_backend.empty()) {
+    StatusOr<const EvaluationBackend*> backend =
+        EvaluationBackendRegistry::Default().Resolve(req.eval_backend);
+    if (!backend.ok()) {
+      SetError(resp, backend.status());
+      AttachStats(resp);
+      return resp;
+    }
+  }
   std::shared_ptr<const Artifact> artifact = store_.Get(req.artifact);
   if (artifact == nullptr) {
     SetError(resp,
@@ -247,23 +277,12 @@ Response ProvenanceService::Evaluate(const EvaluateRequest& req) {
     AttachStats(resp);
     return resp;
   }
-
-  // Aliasing shared_ptrs keep the owning object (artifact or cached
-  // result) alive for the duration of the batched evaluation.
-  std::shared_ptr<const PolynomialSet> target;
-  if (req.compressed) {
-    std::shared_ptr<const ArtifactStore::CompressedResult> result =
-        CompressInternal(artifact, req.artifact, req.forest, req.algo,
-                         req.bound, resp);
-    if (result == nullptr) {
-      AttachStats(resp);
-      return resp;
-    }
-    target = std::shared_ptr<const PolynomialSet>(result,
-                                                  &result->compressed);
-  } else {
-    target =
-        std::shared_ptr<const PolynomialSet>(artifact, &artifact->polys);
+  std::shared_ptr<const PolynomialSet> target =
+      ResolveTarget(artifact, req.artifact, req.compressed, req.forest,
+                    req.algo, req.bound, resp);
+  if (target == nullptr) {
+    AttachStats(resp);
+    return resp;
   }
 
   // Assignments are validated against the polynomials actually being
@@ -293,18 +312,6 @@ Response ProvenanceService::Evaluate(const EvaluateRequest& req) {
     val.Set(id, value);
   }
 
-  // An explicit backend name is validated up front so a typo fails with
-  // the registry's name-listing error before any work is queued; "" keeps
-  // the registry's measured routing, which picks per coalesced batch.
-  if (!req.eval_backend.empty()) {
-    StatusOr<const EvaluationBackend*> backend =
-        EvaluationBackendRegistry::Default().Resolve(req.eval_backend);
-    if (!backend.ok()) {
-      SetError(resp, backend.status());
-      AttachStats(resp);
-      return resp;
-    }
-  }
   StatusOr<std::vector<double>> values = batcher_.Evaluate(
       std::move(target), std::move(val), req.eval_backend, &resp.eval_backend);
   if (!values.ok()) {
@@ -344,22 +351,12 @@ Response ProvenanceService::EvaluateScenarioProgram(
     }
   }
 
-  // Resolve the target view exactly like Evaluate: plain polynomials, or
-  // the (single-flight, cached) compressed result.
-  std::shared_ptr<const PolynomialSet> target;
-  if (req.compressed) {
-    std::shared_ptr<const ArtifactStore::CompressedResult> result =
-        CompressInternal(artifact, req.artifact, req.forest, req.algo,
-                         req.bound, resp);
-    if (result == nullptr) {
-      AttachStats(resp);
-      return resp;
-    }
-    target = std::shared_ptr<const PolynomialSet>(result,
-                                                  &result->compressed);
-  } else {
-    target =
-        std::shared_ptr<const PolynomialSet>(artifact, &artifact->polys);
+  std::shared_ptr<const PolynomialSet> target =
+      ResolveTarget(artifact, req.artifact, req.compressed, req.forest,
+                    req.algo, req.bound, resp);
+  if (target == nullptr) {
+    AttachStats(resp);
+    return resp;
   }
 
   ArtifactStore::ProgramKey key;

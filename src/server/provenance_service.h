@@ -92,20 +92,31 @@ class ProvenanceService {
   /// Fills the stats section of `resp` from store + batcher counters.
   void AttachStats(Response& resp);
   /// The single compress dispatch shared by Compress and
-  /// Evaluate-over-compressed: resolves `algo` through the process-wide
+  /// Evaluate-over-compressed: resolves `key.algo` through the process-wide
   /// CompressorRegistry (unknown names fail listing the registered set),
   /// then returns the cached result, waits on an identical in-flight
   /// request, or runs the algorithm and caches it (single-flight; see
-  /// ArtifactStore::GetOrCompute) — against
-  /// the caller's `artifact` snapshot (never re-fetched, so a concurrent
-  /// reload cannot swap the VariableTable out from under ids the caller
-  /// already resolved). On success fills the compress section of `resp`
-  /// (including cache_hit/dedup_hit) and returns the result; on failure
-  /// fills code/message and returns nullptr.
+  /// ArtifactStore::GetOrCompute) — against the caller's `artifact`
+  /// snapshot, whose generation `key` names (never re-fetched, so a
+  /// concurrent reload cannot swap the VariableTable out from under ids the
+  /// caller already resolved). Builds no compressed view. On success fills
+  /// the compress section of `resp` (including cache_hit/dedup_hit) and
+  /// returns the result; on failure fills code/message and returns nullptr.
   std::shared_ptr<const ArtifactStore::CompressedResult> CompressInternal(
       const std::shared_ptr<const Artifact>& artifact,
-      const std::string& artifact_name, const std::string& forest_name,
-      const std::string& algo, uint64_t bound, Response& resp);
+      const ArtifactStore::ResultKey& key, Response& resp);
+
+  /// The polynomial set a what-if request evaluates: the artifact's own
+  /// polynomials, or, when `compressed`, the view of the (cached,
+  /// single-flight) compression of (forest, bound, algo), built on first
+  /// use by ArtifactStore::CompressedView. The pointer keeps its owner
+  /// (artifact or cached result) alive. On failure fills code/message of
+  /// `resp` and returns nullptr.
+  std::shared_ptr<const PolynomialSet> ResolveTarget(
+      const std::shared_ptr<const Artifact>& artifact,
+      const std::string& artifact_name, bool compressed,
+      const std::string& forest, const std::string& algo, uint64_t bound,
+      Response& resp);
 
   /// The compute function CompressInternal hands to GetOrCompute: tries
   /// the delta-patch path against cached ancestor generations first (sets

@@ -302,6 +302,10 @@ struct Response {
   uint64_t variable_loss = 0;
   bool adequate = false;
   std::string vvs;
+  /// |P↓S|_M, reported as |P|_M − monomial_loss so that Compress never
+  /// builds the view. It equals the view's SizeM() unless merged
+  /// coefficients cancel exactly to zero, which can leave the view
+  /// smaller; nonnegative provenance coefficients never cancel.
   uint64_t compressed_monomials = 0;
 
   // evaluate.

@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "algo/brute_force.h"
 #include "algo/greedy_multi_tree.h"
@@ -271,6 +273,117 @@ TEST_F(RegistryDifferentialTest, InternGroupingMakesProxSerializable) {
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
   EXPECT_EQ(decoded->SizeM(), compressed.SizeM());
   EXPECT_EQ(decoded->count(), compressed.count());
+}
+
+// ------------------------------------------- |P↓S|_M from the loss ------
+
+/// The server answers |P↓S|_M as |P|_M − monomial_loss without building the
+/// view. Over seeded random instances whose coefficients are all positive
+/// (so merged monomials can never cancel), that count must equal the
+/// applied view's for every registered compressor, the grouping "prox"
+/// included, and for a budget-exhausted "opt" run.
+TEST(CompressedCountTest, SizeMinusLossEqualsAppliedSizeForEveryCompressor) {
+  const CompressorRegistry& registry = CompressorRegistry::Default();
+  std::map<std::string, int> checked;
+  for (uint64_t seed = 1; seed <= 12; ++seed) {
+    Rng rng(seed);
+    VariableTable vars;
+    std::vector<VariableId> a_leaves, b_leaves, externals;
+    for (int i = 0; i < 8; ++i) {
+      a_leaves.push_back(vars.Intern("ca" + std::to_string(i)));
+    }
+    for (int i = 0; i < 4; ++i) {
+      b_leaves.push_back(vars.Intern("cb" + std::to_string(i)));
+      externals.push_back(vars.Intern("cx" + std::to_string(i)));
+    }
+    AbstractionForest forest;
+    forest.AddTree(BuildUniformTree(vars, a_leaves, {4, 2}, "CA_"));
+    forest.AddTree(BuildUniformTree(vars, b_leaves, {2}, "CB_"));
+
+    // At most one leaf of each tree per monomial keeps the forest
+    // compatible; externals ride along.
+    PolynomialSet polys;
+    for (int p = 0; p < 6; ++p) {
+      std::vector<Monomial> terms;
+      const size_t m = 3 + rng.Uniform(8);
+      for (size_t i = 0; i < m; ++i) {
+        std::vector<Factor> f;
+        f.push_back({a_leaves[rng.Uniform(a_leaves.size())], 1});
+        if (rng.Bernoulli(0.5)) {
+          f.push_back({b_leaves[rng.Uniform(b_leaves.size())], 1});
+        }
+        if (rng.Bernoulli(0.4)) {
+          f.push_back({externals[rng.Uniform(externals.size())], 1});
+        }
+        terms.emplace_back(rng.UniformReal(0.5, 9.5), std::move(f));
+      }
+      polys.Add(Polynomial::FromMonomials(std::move(terms)));
+    }
+    ASSERT_TRUE(forest.CheckCompatible(polys).ok());
+
+    CompressOptions options;
+    options.bound = polys.SizeM() - 1 - rng.Uniform(polys.SizeM() / 2);
+    for (const char* name : {"opt", "greedy", "brute", "prox"}) {
+      auto result = registry.Find(name)->Compress(polys, forest, options);
+      if (!result.ok()) {
+        ASSERT_EQ(result.status().code(), StatusCode::kInfeasible)
+            << name << ": " << result.status().ToString();
+        continue;
+      }
+      EXPECT_EQ(result->grouping, std::string(name) == "prox") << name;
+      EXPECT_EQ(polys.SizeM() - result->loss.monomial_loss,
+                result->Apply(forest, polys).SizeM())
+          << name << " seed " << seed;
+      ++checked[name];
+    }
+
+    OptimalOptions expired;
+    expired.deadline = Deadline::AfterMillis(0);
+    auto anytime = OptimalSingleTree(polys, forest, 0, options.bound, expired);
+    if (anytime.ok()) {
+      EXPECT_TRUE(anytime->budget_exhausted);
+      EXPECT_EQ(polys.SizeM() - anytime->loss.monomial_loss,
+                anytime->Apply(forest, polys).SizeM())
+          << "budget-exhausted opt seed " << seed;
+      ++checked["opt (budget exhausted)"];
+    }
+  }
+  for (const char* name :
+       {"opt", "greedy", "brute", "prox", "opt (budget exhausted)"}) {
+    EXPECT_GT(checked[name], 0) << name << " never produced a result";
+  }
+}
+
+/// Coefficients that cancel exactly to zero break the identity for "opt",
+/// whose loss counts merges by residual identity (Claim 25): the count a
+/// Compress reports stays |P|_M − monomial_loss, and the applied view,
+/// which drops the zero monomial, is smaller.
+TEST(CompressedCountTest, CancellingCoefficientsLeaveTheViewSmaller) {
+  VariableTable vars;
+  std::vector<VariableId> leaves;
+  for (const char* name : {"za", "zb", "zc", "zd"}) {
+    leaves.push_back(vars.Intern(name));
+  }
+  AbstractionForest forest;
+  forest.AddTree(BuildUniformTree(vars, leaves, {2}, "Z_"));
+  PolynomialSet polys;
+  // Abstracting {za, zb} merges 2·za − 2·zb into 0·Z, which Apply drops.
+  polys.Add(Polynomial::FromMonomials(
+      {Monomial(2.0, {{leaves[0], 1}}), Monomial(-2.0, {{leaves[1], 1}})}));
+  polys.Add(Polynomial::FromMonomials({Monomial(1.0, {{leaves[0], 1}}),
+                                       Monomial(3.0, {{leaves[1], 1}}),
+                                       Monomial(1.0, {{leaves[2], 1}})}));
+  ASSERT_EQ(polys.SizeM(), 5u);
+
+  CompressOptions options;
+  options.bound = 3;
+  auto result =
+      CompressorRegistry::Default().Find("opt")->Compress(polys, forest,
+                                                           options);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->loss.monomial_loss, 2u);
+  EXPECT_EQ(polys.SizeM() - result->loss.monomial_loss, 3u);
+  EXPECT_EQ(result->Apply(forest, polys).SizeM(), 2u);
 }
 
 // ---------------------------------------------------- time budgets ------

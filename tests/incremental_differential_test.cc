@@ -384,5 +384,96 @@ TEST(IncrementalDeterministicTest, TruncatedDeltaLogDeclines) {
   EXPECT_NE(fallback, RecompressFallback::kNone);
 }
 
+/// The patch gates at their exact limits. The anchor has 8 polynomials
+/// each mentioning all 16 leaves once (|P|_M = 128), so abstracting the
+/// root can merge up to 120 monomials and every k below stays feasible.
+/// `AppendSingles(n)` adds n one-monomial polynomials, one append each.
+class IncrementalLimitTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    for (int i = 0; i < 16; ++i) {
+      leaves_.push_back(vars_.Intern("lim" + std::to_string(i)));
+    }
+    forest_.AddTree(BuildUniformTree(vars_, leaves_, {4, 4}, "LIM_"));
+    for (int p = 0; p < 8; ++p) {
+      std::vector<Monomial> terms;
+      for (int m = 0; m < 16; ++m) {
+        terms.emplace_back(1.0 + p + 0.125 * m,
+                           std::vector<Factor>{{leaves_[m], 1}});
+      }
+      polys_.Add(Polynomial::FromMonomials(std::move(terms)));
+    }
+  }
+
+  /// Runs the retained DP at `bound` and records the revision it saw.
+  CompressionResult Base(size_t bound) {
+    auto base = OptimalSingleTree(polys_, forest_, 0, bound);
+    EXPECT_TRUE(base.ok()) << base.status().ToString();
+    EXPECT_NE(base->dp_state, nullptr);
+    base_revision_ = polys_.revision();
+    return std::move(*base);
+  }
+
+  void AppendSingles(size_t n) {
+    for (size_t i = 0; i < n; ++i) {
+      polys_.Add(Polynomial::FromMonomials(
+          {Monomial(1.5, {{leaves_[i % leaves_.size()], 1}})}));
+    }
+  }
+
+  /// Declines with exactly `want` when the retained bound is passed.
+  void ExpectDecline(const CompressionResult& base, size_t bound,
+                     RecompressFallback want) {
+    RecompressFallback fallback = RecompressFallback::kNone;
+    auto patched = OptimalRecompress(
+        polys_, forest_, base, polys_.DeltaSince(base_revision_), bound,
+        &fallback);
+    EXPECT_EQ(patched.status().code(), StatusCode::kFailedPrecondition)
+        << patched.status().ToString();
+    EXPECT_EQ(fallback, want) << RecompressFallbackName(fallback);
+  }
+
+  VariableTable vars_;
+  std::vector<VariableId> leaves_;
+  AbstractionForest forest_;
+  PolynomialSet polys_;
+  uint64_t base_revision_ = 0;
+};
+
+/// A bound of |P|_M + kDeltaLogCapacity keeps k at 0 through the whole
+/// log, so only the log depth decides: exactly kDeltaLogCapacity appends
+/// since the retained revision patch, one more declines.
+TEST_F(IncrementalLimitTest, DeltaLogPatchesAtCapacityAndDeclinesBeyond) {
+  const size_t bound = polys_.SizeM() + PolynomialSet::kDeltaLogCapacity;
+  CompressionResult base = Base(bound);
+  AppendSingles(PolynomialSet::kDeltaLogCapacity);
+  ASSERT_TRUE(polys_.DeltaSince(base_revision_).complete);
+  bool patched = false;
+  RecompressAndCompare(polys_, forest_, vars_, base, base_revision_, bound,
+                       &patched);
+  EXPECT_TRUE(patched) << "a full delta log must patch";
+
+  AppendSingles(1);
+  ASSERT_FALSE(polys_.DeltaSince(base_revision_).complete);
+  ExpectDecline(base, bound, RecompressFallback::kDeltaIncomplete);
+}
+
+/// With k = 0 at the retained run the clamp is exactly retain_headroom, so
+/// growing k by retain_headroom patches and by one more declines.
+TEST_F(IncrementalLimitTest, HeadroomPatchesAtTheClampAndDeclinesBeyond) {
+  const size_t headroom = OptimalOptions{}.retain_headroom;
+  const size_t bound = polys_.SizeM();
+  ASSERT_GE(polys_.SizeM(), headroom);
+  CompressionResult base = Base(bound);
+  AppendSingles(headroom);
+  bool patched = false;
+  RecompressAndCompare(polys_, forest_, vars_, base, base_revision_, bound,
+                       &patched);
+  EXPECT_TRUE(patched) << "growth of exactly retain_headroom must patch";
+
+  AppendSingles(1);
+  ExpectDecline(base, bound, RecompressFallback::kHeadroomExhausted);
+}
+
 }  // namespace
 }  // namespace provabs

@@ -13,7 +13,10 @@
 ///  - Randomized differential suite: for seeded random forests/bounds, the
 ///    responses of a concurrently hammered service (mixed same-key and
 ///    distinct-key) are byte-identical to a serial service's output — down
-///    to the serialized compressed polynomial sets.
+///    to the serialized compressed views.
+///  - The first compressed Evaluates of a freshly compressed key, sent by 8
+///    threads at once, build its view once: one compiled snapshot, one
+///    byte charge, answers bitwise equal to a cold Apply.
 ///  - A 16-thread mixed load/compress/evaluate/invalidate stress with
 ///    generation bumps mid-flight (the EvaluateBatcher + ThreadPool
 ///    invalidation-race soak).
@@ -23,15 +26,20 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <cstring>
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "algo/compressor.h"
 #include "common/random.h"
+#include "core/compiled_polynomial_set.h"
+#include "core/evaluation_backend.h"
 #include "core/valuation.h"
 #include "io/serializer.h"
 #include "server/artifact_store.h"
@@ -482,9 +490,9 @@ TEST(ServerConcurrencyDifferentialTest, ConcurrentMatchesSerialByteForByte) {
     }
   }
 
-  // Byte-identical: for every successful key, the compressed polynomial
-  // set cached by the concurrent service serializes to exactly the bytes
-  // the serial service produced.
+  // Byte-identical: for every successful key, the compressed view of the
+  // result cached by the concurrent service serializes to exactly the
+  // bytes the serial service produced.
   auto artifact_of = [](ProvenanceService& s) {
     return s.store().Get("rnd");
   };
@@ -502,10 +510,14 @@ TEST(ServerConcurrencyDifferentialTest, ConcurrentMatchesSerialByteForByte) {
     auto concurrent_result = concurrent.store().LookupResult(rk);
     ASSERT_NE(serial_result, nullptr) << "key " << i;
     ASSERT_NE(concurrent_result, nullptr) << "key " << i;
-    EXPECT_EQ(SerializePolynomialSet(concurrent_result->compressed,
+    auto concurrent_view = concurrent.store().CompressedView(
+        rk, concurrent_result, *concurrent_artifact);
+    rk.generation = serial_artifact->generation;
+    auto serial_view =
+        serial.store().CompressedView(rk, serial_result, *serial_artifact);
+    EXPECT_EQ(SerializePolynomialSet(*concurrent_view,
                                      *concurrent_artifact->vars),
-              SerializePolynomialSet(serial_result->compressed,
-                                     *serial_artifact->vars))
+              SerializePolynomialSet(*serial_view, *serial_artifact->vars))
         << "key " << i;
   }
 
@@ -534,6 +546,139 @@ TEST(ServerConcurrencyDifferentialTest, ConcurrentMatchesSerialByteForByte) {
                                                              << t;
     }
   }
+}
+
+// ------------------------------------------- first compressed evaluate --
+
+/// Delegates to the "compiled" kernel and records the fingerprint of every
+/// snapshot it runs on. Unavailable to routing, so only requests that name
+/// it reach it.
+class FingerprintProbeBackend : public EvaluationBackend {
+ public:
+  FingerprintProbeBackend() { info_.name = "fingerprint_probe"; }
+  const EvaluationBackendInfo& info() const override { return info_; }
+  bool Available() const override { return false; }
+
+  /// The fingerprints recorded since the last call.
+  std::set<uint64_t> TakeSeen() const {
+    std::set<uint64_t> out;
+    std::lock_guard<std::mutex> lock(mutex_);
+    out.swap(seen_);
+    return out;
+  }
+
+ protected:
+  void DoEvaluateBatch(const CompiledPolynomialSet& compiled,
+                       size_t poly_begin, size_t poly_end,
+                       const DenseValuation* const* scenarios,
+                       double* const* outs,
+                       size_t scenario_count) const override {
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      seen_.insert(compiled.fingerprint());
+    }
+    Status status =
+        EvaluationBackendRegistry::Default().Find("compiled")->EvaluateBatch(
+            compiled, poly_begin, poly_end, scenarios, outs, scenario_count);
+    EXPECT_TRUE(status.ok()) << status.ToString();
+  }
+
+ private:
+  EvaluationBackendInfo info_;
+  mutable std::mutex mutex_;
+  mutable std::set<uint64_t> seen_;
+};
+
+/// Compress builds no view; the first compressed Evaluates of a key, sent
+/// by 8 threads at once, build it once: every answer is bitwise equal to
+/// Valuation::Evaluate over a cold Apply, every thread ran on the same
+/// compiled snapshot, and the view's bytes were charged once.
+TEST(ServerConcurrencyDifferentialTest, FirstCompressedEvaluatesShareOneView) {
+  // Registered once per process, so the test survives --gtest_repeat.
+  static const FingerprintProbeBackend* const probe = [] {
+    auto owned = std::make_unique<FingerprintProbeBackend>();
+    const FingerprintProbeBackend* raw = owned.get();
+    Status status =
+        EvaluationBackendRegistry::Default().Register(std::move(owned));
+    EXPECT_TRUE(status.ok()) << status.ToString();
+    return raw;
+  }();
+  probe->TakeSeen();
+
+  const RandomWorkload w = MakeRandomWorkload(/*seed=*/20261017);
+  ServiceOptions options;
+  options.eval_threads = 4;
+  ProvenanceService service(options);
+  LoadRequest load;
+  load.artifact = "rnd";
+  load.polys_bytes = w.polys_bytes;
+  load.forests = w.forests;
+  ASSERT_TRUE(service.Load(load).ok());
+  CompressRequest compress;
+  compress.artifact = "rnd";
+  compress.forest = "f0";
+  compress.algo = "opt";
+  compress.bound = w.polys.SizeM() * 3 / 4;
+  Response compressed = service.Compress(compress);
+  ASSERT_TRUE(compressed.ok()) << compressed.message;
+  const uint64_t bytes_before = service.store().stats().cached_bytes;
+
+  // The oracle: a cold run and Apply against the server's own artifact, so
+  // variable ids and monomial order match.
+  std::shared_ptr<const Artifact> artifact = service.store().Get("rnd");
+  ASSERT_NE(artifact, nullptr);
+  const AbstractionForest& forest = *artifact->FindForest("f0");
+  CompressOptions copts;
+  copts.bound = compress.bound;
+  auto cold_run = CompressorRegistry::Default().Find("opt")->Compress(
+      artifact->polys, forest, copts);
+  ASSERT_TRUE(cold_run.ok()) << cold_run.status().ToString();
+  const PolynomialSet cold = cold_run->Apply(forest, artifact->polys);
+  EXPECT_EQ(compressed.compressed_monomials, cold.SizeM());
+
+  constexpr int kThreads = 8;
+  std::vector<Response> responses(kThreads);
+  Barrier start(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      EvaluateRequest req;
+      req.artifact = "rnd";
+      req.compressed = true;
+      req.forest = "f0";
+      req.algo = "opt";
+      req.bound = compress.bound;
+      req.eval_backend = "fingerprint_probe";
+      req.assignments = {{"m1", 0.25 * t}, {"m3", 1.5}};
+      EXPECT_TRUE(start.ArriveAndWait());
+      responses[t] = service.Evaluate(req);
+    });
+  }
+  for (auto& t : threads) t.join();
+
+  for (int t = 0; t < kThreads; ++t) {
+    ASSERT_TRUE(responses[t].ok()) << responses[t].message;
+    EXPECT_TRUE(responses[t].cache_hit);
+    Valuation val;
+    val.Set(artifact->vars->Find("m1"), 0.25 * t);
+    val.Set(artifact->vars->Find("m3"), 1.5);
+    ASSERT_EQ(responses[t].values.size(), cold.count());
+    for (size_t i = 0; i < cold.count(); ++i) {
+      const double want = val.Evaluate(cold.polynomials()[i]);
+      EXPECT_EQ(std::memcmp(&responses[t].values[i], &want, sizeof(want)),
+                0)
+          << "thread " << t << " polynomial " << i;
+    }
+  }
+  const std::set<uint64_t> seen = probe->TakeSeen();
+  ASSERT_EQ(seen.size(), 1u);
+  ArtifactStore::ResultKey key{"rnd", artifact->generation, "f0",
+                               compress.bound, "opt"};
+  std::shared_ptr<const PolynomialSet> view = service.store().CompressedView(
+      key, service.store().LookupResult(key), *artifact);
+  EXPECT_EQ(*seen.begin(), view->Compiled()->fingerprint());
+  EXPECT_EQ(service.store().stats().cached_bytes,
+            bytes_before + ApproxPolynomialSetBytes(cold));
 }
 
 // ------------------------------------------------- mixed-load stress ----

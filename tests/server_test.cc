@@ -105,7 +105,7 @@ TEST_F(StoreTest, ResultCacheCountsHitsAndMisses) {
   ArtifactStore::CompressedResult result;
   result.loss.monomial_loss = 3;
   result.vvs_names = "{Plans}";
-  store.InsertResult(key, result);
+  store.InsertResult(key, std::move(result));
   auto hit = store.LookupResult(key);
   ASSERT_NE(hit, nullptr);
   EXPECT_EQ(hit->loss.monomial_loss, 3u);
@@ -191,6 +191,77 @@ TEST_F(StoreTest, GetOrComputePublishesOnlyCompletedResults) {
   EXPECT_TRUE(info.cache_hit);
   EXPECT_EQ((*hit)->loss.monomial_loss, 5u);
   EXPECT_EQ(runs, 2);
+}
+
+/// Runs "opt" against `artifact` and caches the result under `key`, the
+/// way ProvenanceService fills a Compress miss.
+std::shared_ptr<const ArtifactStore::CompressedResult> InsertOptResult(
+    ArtifactStore& store, const ArtifactStore::ResultKey& key,
+    const Artifact& artifact) {
+  CompressOptions options;
+  options.bound = key.bound;
+  auto run = CompressorRegistry::Default().Find("opt")->Compress(
+      artifact.polys, *artifact.FindForest(key.forest), options);
+  EXPECT_TRUE(run.ok()) << run.status().ToString();
+  ArtifactStore::CompressedResult result;
+  result.loss = run->loss;
+  result.adequate = run->adequate;
+  result.algo_result = std::move(*run);
+  return store.InsertResult(key, std::move(result));
+}
+
+TEST_F(StoreTest, CompressedViewIsChargedWhenFirstBuilt) {
+  ArtifactStore store(64 << 20, /*shards=*/1);
+  auto loaded = store.Load("ex", polys_bytes_, {{"plans", plans_bytes_}});
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  const Artifact& artifact = **loaded;
+  const uint64_t artifact_bytes = store.stats().cached_bytes;
+  ArtifactStore::ResultKey key{"ex", artifact.generation, "plans",
+                               polys_.SizeM() - 1, "opt"};
+  auto result = InsertOptResult(store, key, artifact);
+  ASSERT_NE(result, nullptr);
+
+  // A compression alone is charged without its view: the first view
+  // request builds and compiles it and charges exactly its estimate to the
+  // result's slot; later ones return the same view and charge nothing.
+  const PolynomialSet cold =
+      result->algo_result.Apply(*artifact.FindForest("plans"), artifact.polys);
+  const size_t view_bytes = ApproxPolynomialSetBytes(cold);
+  const uint64_t compressed_bytes = store.stats().cached_bytes;
+  EXPECT_GT(compressed_bytes, artifact_bytes);
+  std::shared_ptr<const PolynomialSet> view =
+      store.CompressedView(key, result, artifact);
+  ASSERT_NE(view, nullptr);
+  EXPECT_EQ(SerializePolynomialSet(*view, *artifact.vars),
+            SerializePolynomialSet(cold, *artifact.vars));
+  EXPECT_EQ(store.stats().cached_bytes, compressed_bytes + view_bytes);
+  EXPECT_EQ(store.CompressedView(key, result, artifact), view);
+  EXPECT_EQ(store.stats().cached_bytes, compressed_bytes + view_bytes);
+
+  // A view built for a result whose slot was replaced meanwhile is served
+  // but charged to nobody.
+  auto replaced = InsertOptResult(store, key, artifact);
+  EXPECT_EQ(store.stats().cached_bytes, compressed_bytes);
+  store.InsertResult(key, ArtifactStore::CompressedResult{});
+  const uint64_t stale_bytes = store.stats().cached_bytes;
+  EXPECT_NE(store.CompressedView(key, replaced, artifact), nullptr);
+  EXPECT_EQ(store.stats().cached_bytes, stale_bytes);
+
+  // Charging evicts down to the budget: with room for the artifact and a
+  // viewless result only, the charged result survives and the artifact,
+  // now least recently used, goes.
+  ArtifactStore tight(compressed_bytes + view_bytes - 1, /*shards=*/1);
+  auto tight_loaded =
+      tight.Load("ex", polys_bytes_, {{"plans", plans_bytes_}});
+  ASSERT_TRUE(tight_loaded.ok());
+  key.generation = (*tight_loaded)->generation;
+  auto tight_result = InsertOptResult(tight, key, **tight_loaded);
+  EXPECT_EQ(tight.stats().evictions, 0u);
+  EXPECT_NE(tight.CompressedView(key, tight_result, **tight_loaded), nullptr);
+  EXPECT_EQ(tight.stats().evictions, 1u);
+  EXPECT_EQ(tight.Get("ex"), nullptr);
+  EXPECT_EQ(tight.LookupResult(key), tight_result);
+  EXPECT_LE(tight.stats().cached_bytes, compressed_bytes + view_bytes - 1);
 }
 
 TEST_F(StoreTest, BudgetSmallerThanOneArtifactStillServesIt) {
@@ -685,6 +756,44 @@ TEST_F(ServiceTest, EvaluateRoutesThroughNamedBackend) {
             std::string::npos)
       << bad.message;
   EXPECT_NE(bad.message.find("simd_batch"), std::string::npos) << bad.message;
+}
+
+TEST_F(ServiceTest, EvaluateRejectsUnknownBackendBeforeCompressing) {
+  int full_runs = 0;
+  ServiceOptions options;
+  options.compress_hook = [&](const ArtifactStore::ResultKey&) {
+    ++full_runs;
+  };
+  ProvenanceService service(options);
+  LoadRequest load;
+  load.artifact = "ex";
+  load.polys_bytes = polys_bytes_;
+  load.forests = {{"plans", plans_bytes_}};
+  ASSERT_TRUE(service.Load(load).ok());
+
+  EvaluateRequest req;
+  req.artifact = "ex";
+  req.compressed = true;
+  req.forest = "plans";
+  req.algo = "opt";
+  req.bound = polys_.SizeM() - 1;
+  req.assignments = {{"m1", 0.5}};
+  req.eval_backend = "turbo";
+  Response bad = service.Evaluate(req);
+  EXPECT_EQ(bad.code, StatusCode::kInvalidArgument);
+  EXPECT_NE(bad.message.find("unknown evaluation backend 'turbo'"),
+            std::string::npos)
+      << bad.message;
+  EXPECT_EQ(full_runs, 0);
+  EXPECT_EQ(bad.stats.result_misses, 0u);
+  EXPECT_EQ(bad.stats.result_count, 0u);
+
+  // A registered name on the same key then compresses exactly once.
+  req.eval_backend = "compiled";
+  Response good = service.Evaluate(req);
+  ASSERT_TRUE(good.ok()) << good.message;
+  EXPECT_EQ(full_runs, 1);
+  EXPECT_EQ(good.stats.result_misses, 1u);
 }
 
 // ------------------------------------------- scenario programs ----------
