@@ -1,8 +1,10 @@
 /// Ablation (§4.1 "Efficient ML computation"): computing the per-node
 /// monomial loss by naive re-substitution (one polynomial traversal per
-/// tree node) vs. the single-pass LeafResidualIndex. The index turns an
-/// O(nodes · |P|_M) scheme into O(|P|_M + Σ_v leaves(v)) and is the reason
-/// Algorithm 1 scales to the paper's workloads.
+/// tree node) vs. the one-pass LeafResidualIndex, whose build computes
+/// every node's loss (the index arm times the build plus a lookup per
+/// node). The index turns an O(nodes · |P|_M) scheme into
+/// O(|P|_M + nodes) and is the reason Algorithm 1 scales to the paper's
+/// workloads.
 
 #include <benchmark/benchmark.h>
 

@@ -1,7 +1,6 @@
 #include "abstraction/loss.h"
 
 #include <algorithm>
-#include <unordered_set>
 
 #include "common/macros.h"
 
@@ -22,9 +21,8 @@ namespace {
 // Sentinel standing for "the replaced tree variable" inside residual hashes.
 constexpr VariableId kResidualSentinel = 0xFFFFFFFEu;
 
-uint64_t HashResidual(size_t poly_index, const Monomial& m,
-                      VariableId replaced) {
-  uint64_t h = 0xCBF29CE484222325ULL ^ (poly_index * 0x9E3779B97F4A7C15ULL);
+uint64_t HashResidual(const Monomial& m, VariableId replaced) {
+  uint64_t h = 0xCBF29CE484222325ULL;
   auto mix = [&h](uint64_t x) {
     h ^= x;
     h *= 0x100000001B3ULL;
@@ -49,187 +47,192 @@ uint64_t HashResidual(size_t poly_index, const Monomial& m,
   return h;
 }
 
+/// The deepest ancestor-or-self of leaf node `leaf` whose leaf range holds
+/// position `pos`.
+NodeIndex DeepestCovering(const AbstractionTree& tree, NodeIndex leaf,
+                          uint32_t pos) {
+  NodeIndex v = leaf;
+  while (pos < tree.node(v).leaf_begin || pos >= tree.node(v).leaf_end) {
+    v = tree.node(v).parent;
+  }
+  return v;
+}
+
+/// Open-addressing map from residual key to the leaf position it was last
+/// seen at, linear probing, re-sized per polynomial (no growth inside one).
+class LastSeen {
+ public:
+  static constexpr uint32_t kAbsent = 0xFFFFFFFFu;
+
+  /// Empties the map, sized for at most `max_keys` distinct keys.
+  void Reset(size_t max_keys) {
+    size_t capacity = 16;
+    while (capacity < 2 * max_keys) capacity *= 2;
+    shift_ = 64;
+    for (size_t c = capacity; c > 1; c /= 2) --shift_;
+    keys_.resize(capacity);
+    positions_.assign(capacity, kAbsent);
+  }
+
+  /// The position slot of `key`; a new key's slot holds kAbsent.
+  uint32_t& Slot(uint64_t key) {
+    const size_t mask = keys_.size() - 1;
+    // Fibonacci hashing: the top bits of key · 2^64/φ.
+    size_t i = static_cast<size_t>((key * 0x9E3779B97F4A7C15ULL) >> shift_);
+    for (;; i = (i + 1) & mask) {
+      if (positions_[i] == kAbsent) {
+        keys_[i] = key;
+        return positions_[i];
+      }
+      if (keys_[i] == key) return positions_[i];
+    }
+  }
+
+ private:
+  std::vector<uint64_t> keys_;
+  std::vector<uint32_t> positions_;
+  int shift_ = 0;
+};
+
 }  // namespace
 
-void LeafResidualIndex::IndexPolynomial(
-    size_t poly_index, const Polynomial& poly,
-    std::vector<std::vector<uint64_t>>& sink) const {
-  for (const Monomial& m : poly.monomials()) {
-    for (const Factor& f : m.factors()) {
-      auto it = leafpos_.find(f.var);
-      if (it == leafpos_.end()) continue;
-      sink[it->second].push_back(HashResidual(poly_index, m, f.var));
-      // Compatibility guarantees at most one tree variable per monomial.
-      break;
-    }
-  }
-}
+/// Per-polynomial buffers, reused across the polynomials of one pass.
+struct LeafResidualIndex::Buffers {
+  std::vector<std::pair<uint32_t, uint64_t>> pairs;  // (leaf position, key)
+  std::vector<std::pair<uint32_t, uint64_t>> ordered;
+  std::vector<uint32_t> counts;
+  LastSeen last;
+};
 
 LeafResidualIndex::LeafResidualIndex(const PolynomialSet& polys,
-                                     const AbstractionTree& tree)
-    : tree_(&tree) {
+                                     const AbstractionTree& tree) {
   const size_t num_leaves = tree.leaves().size();
-  overflow_by_leafpos_.resize(num_leaves);
-  leafpos_.reserve(num_leaves);
-  for (uint32_t i = 0; i < num_leaves; ++i) {
-    leafpos_.emplace(tree.node(tree.leaves()[i]).label, i);
+  leaf_labels_.reserve(num_leaves);
+  VariableId max_label = 0;
+  for (NodeIndex leaf : tree.leaves()) {
+    leaf_labels_.push_back(tree.node(leaf).label);
+    max_label = std::max(max_label, tree.node(leaf).label);
   }
+  leafpos_.assign(num_leaves == 0 ? 0 : size_t{max_label} + 1, kNoLeaf);
+  for (uint32_t i = 0; i < num_leaves; ++i) leafpos_[leaf_labels_[i]] = i;
 
-  // One pass over the polynomials (the point of the optimization), staged
-  // per leaf, then flattened into the CSR body the queries walk.
-  std::vector<std::vector<uint64_t>> staged(num_leaves);
-  for (size_t pi = 0; pi < polys.count(); ++pi) {
-    IndexPolynomial(pi, polys[pi], staged);
+  // Duplicates are recorded at their LCA, then summed up the tree once.
+  dup_below_.assign(tree.node_count(), 0);
+  present_below_.assign(tree.node_count(), 0);
+  Buffers buffers;
+  std::vector<NodeIndex> lcas;
+  for (const Polynomial& poly : polys.polynomials()) {
+    lcas.clear();
+    IndexPolynomial(poly, tree, buffers, lcas);
+    for (NodeIndex lca : lcas) ++dup_below_[lca];
   }
   indexed_count_ = polys.count();
-
-  offsets_.resize(num_leaves + 1, 0);
-  size_t total = 0;
-  for (size_t i = 0; i < num_leaves; ++i) {
-    offsets_[i] = static_cast<uint32_t>(total);
-    total += staged[i].size();
-  }
-  offsets_[num_leaves] = static_cast<uint32_t>(total);
-  keys_.reserve(total);
-  for (const auto& leaf_keys : staged) {
-    keys_.insert(keys_.end(), leaf_keys.begin(), leaf_keys.end());
+  // Pre-order storage puts every parent before its children, so a reverse
+  // sweep finishes each subtree sum before adding it to the parent.
+  for (size_t v = tree.node_count(); v-- > 1;) {
+    const NodeIndex parent = tree.node(static_cast<NodeIndex>(v)).parent;
+    dup_below_[parent] += dup_below_[v];
+    present_below_[parent] += present_below_[v];
   }
 }
 
-LeafResidualIndex::AppendDelta LeafResidualIndex::AppendPolynomials(
-    const PolynomialSet& polys) {
-  AppendDelta delta;
-  if (polys.count() <= indexed_count_) return delta;
-  std::vector<size_t> before(overflow_by_leafpos_.size());
-  for (size_t i = 0; i < overflow_by_leafpos_.size(); ++i) {
-    before[i] = overflow_by_leafpos_[i].size();
-  }
-  for (size_t pi = indexed_count_; pi < polys.count(); ++pi) {
-    IndexPolynomial(pi, polys[pi], overflow_by_leafpos_);
-  }
-  indexed_count_ = polys.count();
-  for (uint32_t i = 0; i < overflow_by_leafpos_.size(); ++i) {
-    const auto& keys = overflow_by_leafpos_[i];
-    if (keys.size() == before[i]) continue;
-    delta.dirty.push_back(i);
-    delta.new_keys.emplace_back(keys.begin() + before[i], keys.end());
-  }
-  return delta;
-}
-
-LossReport LeafResidualIndex::PatchNodeLoss(NodeIndex v, LossReport before,
-                                            const AppendDelta& delta) const {
-  const auto& node = tree_->node(v);
-  // Mirrors NodeLoss's early-out: such nodes never lose anything, before
-  // and after any append.
-  if (node.is_leaf() || node.leaf_count() <= 1) return before;
-
-  // Collect the appended keys landing below v, deduplicated and sorted so
-  // the membership scan below can mark them by binary search.
-  std::vector<uint64_t> added;
-  size_t added_total = 0;
-  for (size_t d = 0; d < delta.dirty.size(); ++d) {
-    const uint32_t pos = delta.dirty[d];
-    if (pos < node.leaf_begin || pos >= node.leaf_end) continue;
-    added_total += delta.new_keys[d].size();
-    added.insert(added.end(), delta.new_keys[d].begin(),
-                 delta.new_keys[d].end());
-  }
-  if (added_total == 0) return before;
-  std::sort(added.begin(), added.end());
-  added.erase(std::unique(added.begin(), added.end()), added.end());
-
-  // Mark which appended keys already existed below v BEFORE the append:
-  // the CSR body plus each leaf's overflow minus this append's suffix.
-  std::vector<char> existed(added.size(), 0);
-  auto mark = [&](uint64_t key) {
-    auto it = std::lower_bound(added.begin(), added.end(), key);
-    if (it != added.end() && *it == key) existed[it - added.begin()] = 1;
-  };
-  for (uint32_t i = offsets_[node.leaf_begin]; i < offsets_[node.leaf_end];
-       ++i) {
-    mark(keys_[i]);
-  }
-  for (uint32_t i = node.leaf_begin; i < node.leaf_end; ++i) {
-    const auto& overflow = overflow_by_leafpos_[i];
-    size_t old_size = overflow.size();
-    auto it = std::lower_bound(delta.dirty.begin(), delta.dirty.end(), i);
-    if (it != delta.dirty.end() && *it == i) {
-      old_size -= delta.new_keys[it - delta.dirty.begin()].size();
+void LeafResidualIndex::IndexPolynomial(const Polynomial& poly,
+                                        const AbstractionTree& tree,
+                                        Buffers& buffers,
+                                        std::vector<NodeIndex>& lcas) {
+  std::vector<std::pair<uint32_t, uint64_t>>& pairs = buffers.pairs;
+  pairs.clear();
+  for (const Monomial& m : poly.monomials()) {
+    const uint32_t pos = LeafPosOf(m);
+    if (pos != kNoLeaf) {
+      pairs.emplace_back(pos, HashResidual(m, leaf_labels_[pos]));
     }
-    for (size_t j = 0; j < old_size; ++j) mark(overflow[j]);
   }
-  size_t new_distinct = 0;
-  for (char e : existed) {
-    if (!e) ++new_distinct;
-  }
-
-  LossReport after;
-  after.monomial_loss = before.monomial_loss + added_total - new_distinct;
-  // At least one leaf below v gained keys, so the subtree is non-empty and
-  // vl = present − 1 holds without the clamp.
-  after.variable_loss = PresentLeavesBelow(v) - 1;
-  return after;
-}
-
-LossReport LeafResidualIndex::NodeLoss(NodeIndex v) const {
-  const auto& node = tree_->node(v);
-  LossReport r;
-  if (node.is_leaf() || node.leaf_count() <= 1) return r;
-
-  // Reused across calls: the DP visits every internal node, and the
-  // allocations would otherwise dominate small trees. thread_local keeps
-  // const-callers safely concurrent.
-  static thread_local std::vector<uint64_t> scratch;
-  static thread_local std::unordered_set<uint64_t> scratch_set;
-  scratch.clear();
-
-  // One sequential CSR slice covers the whole leaf range.
-  const uint32_t begin = offsets_[node.leaf_begin];
-  const uint32_t end = offsets_[node.leaf_end];
-  scratch.assign(keys_.begin() + begin, keys_.begin() + end);
-
-  size_t present = 0;
-  for (uint32_t i = node.leaf_begin; i < node.leaf_end; ++i) {
-    const auto& extra = overflow_by_leafpos_[i];
-    scratch.insert(scratch.end(), extra.begin(), extra.end());
-    if (offsets_[i + 1] != offsets_[i] || !extra.empty()) ++present;
-  }
-  const size_t total = scratch.size();
-  // Distinctness: sort+unique is fastest while the gathered slice is
-  // cache-resident, but its n·log n overtakes hashing at the big duplicate-
-  // heavy nodes near the root (measured crossover ~1k keys on the standard
-  // workloads), so large slices count through a reused hash set instead.
-  size_t distinct;
-  if (total <= 1024) {
-    std::sort(scratch.begin(), scratch.end());
-    distinct = static_cast<size_t>(
-        std::unique(scratch.begin(), scratch.end()) - scratch.begin());
+  // Leaf order: positions are small integers, so a counting sort, unless
+  // the polynomial is much smaller than the tree.
+  const size_t num_leaves = leaf_labels_.size();
+  const std::vector<std::pair<uint32_t, uint64_t>>* ordered = &pairs;
+  if (pairs.size() * 8 < num_leaves) {
+    std::sort(pairs.begin(), pairs.end());
   } else {
-    scratch_set.clear();
-    scratch_set.insert(scratch.begin(), scratch.end());
-    distinct = scratch_set.size();
+    buffers.counts.assign(num_leaves + 1, 0);
+    for (const auto& pair : pairs) ++buffers.counts[pair.first + 1];
+    for (size_t i = 0; i < num_leaves; ++i) {
+      buffers.counts[i + 1] += buffers.counts[i];
+    }
+    buffers.ordered.resize(pairs.size());
+    for (const auto& pair : pairs) {
+      buffers.ordered[buffers.counts[pair.first]++] = pair;
+    }
+    ordered = &buffers.ordered;
   }
-  r.monomial_loss = total - distinct;
-  r.variable_loss = present > 0 ? present - 1 : 0;
-  return r;
+  // The walk: a repeat of a key is a duplicate at the LCA of its previous
+  // and current leaf.
+  buffers.last.Reset(pairs.size());
+  for (const auto& [pos, key] : *ordered) {
+    const NodeIndex leaf = tree.leaves()[pos];
+    present_below_[leaf] = 1;
+    uint32_t& last = buffers.last.Slot(key);
+    if (last != LastSeen::kAbsent) {
+      lcas.push_back(DeepestCovering(tree, leaf, last));
+    }
+    last = pos;
+  }
 }
 
-size_t LeafResidualIndex::PresentLeavesBelow(NodeIndex v) const {
-  const auto& node = tree_->node(v);
-  size_t present = 0;
-  for (uint32_t i = node.leaf_begin; i < node.leaf_end; ++i) {
-    if (offsets_[i + 1] != offsets_[i] || !overflow_by_leafpos_[i].empty()) {
-      ++present;
+uint32_t LeafResidualIndex::LeafPosOf(const Monomial& m) const {
+  for (const Factor& f : m.factors()) {
+    if (f.var < leafpos_.size() && leafpos_[f.var] != kNoLeaf) {
+      // Compatibility guarantees at most one tree variable per monomial.
+      return leafpos_[f.var];
     }
   }
-  return present;
+  return kNoLeaf;
 }
 
-size_t LeafResidualIndex::TotalKeys() const {
-  size_t total = keys_.size();
-  for (const auto& keys : overflow_by_leafpos_) total += keys.size();
-  return total;
+std::vector<uint32_t> LeafResidualIndex::AppendPolynomials(
+    const PolynomialSet& polys, const AbstractionTree& tree) {
+  std::vector<uint32_t> dirty;
+  // Leaves present before this call, so newly present ones can be told
+  // apart after IndexPolynomial marks them.
+  std::vector<uint8_t> was_present(tree.leaves().size());
+  for (uint32_t i = 0; i < was_present.size(); ++i) {
+    was_present[i] = present_below_[tree.leaves()[i]] != 0;
+  }
+  Buffers buffers;
+  std::vector<NodeIndex> lcas;
+  for (size_t pi = indexed_count_; pi < polys.count(); ++pi) {
+    lcas.clear();
+    IndexPolynomial(polys[pi], tree, buffers, lcas);
+    // A new duplicate raises the loss of its LCA and of every node above.
+    for (NodeIndex lca : lcas) {
+      for (NodeIndex v = lca; v != kInvalidNode; v = tree.node(v).parent) {
+        ++dup_below_[v];
+      }
+    }
+    for (const auto& pair : buffers.pairs) dirty.push_back(pair.first);
+  }
+  indexed_count_ = polys.count();
+  std::sort(dirty.begin(), dirty.end());
+  dirty.erase(std::unique(dirty.begin(), dirty.end()), dirty.end());
+  for (uint32_t pos : dirty) {
+    if (was_present[pos]) continue;
+    // IndexPolynomial marked the leaf itself; its ancestors gain it here.
+    const NodeIndex leaf = tree.leaves()[pos];
+    for (NodeIndex v = tree.node(leaf).parent; v != kInvalidNode;
+         v = tree.node(v).parent) {
+      ++present_below_[v];
+    }
+  }
+  return dirty;
+}
+
+size_t LeafResidualIndex::ApproxBytes() const {
+  return sizeof(LeafResidualIndex) +
+         leafpos_.capacity() * sizeof(uint32_t) +
+         leaf_labels_.capacity() * sizeof(VariableId) +
+         dup_below_.capacity() * sizeof(size_t) +
+         present_below_.capacity() * sizeof(uint32_t);
 }
 
 }  // namespace provabs

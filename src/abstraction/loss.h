@@ -2,7 +2,6 @@
 #define PROVABS_ABSTRACTION_LOSS_H_
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "abstraction/abstraction_forest.h"
@@ -31,95 +30,94 @@ LossReport ComputeLossNaive(const PolynomialSet& polys,
                             const AbstractionForest& forest,
                             const ValidVariableSet& vvs);
 
-/// The §4.1 "Efficient ML computation" index, built once per
-/// (polynomial set, tree) pair in a single pass over the polynomials.
+/// The §4.1 "Efficient ML computation" index, kept as the opt DP's loss
+/// table: every tree node's singleton loss, computed in one pass over the
+/// polynomials when the index is built. Nothing in it depends on the
+/// monomial bound, so one table over a (polynomial set, tree) pair answers
+/// the DP at every bound, and NodeLoss is a lookup.
 ///
-/// For every tree leaf l it stores the residual keys
-///   { hash(polynomial id, M with l replaced by a sentinel) :
-///     M a monomial containing l },
-/// so the monomial loss of abstracting node v with descendant leaves
-/// l_0..l_m is  Σ_i |D[l_i]| − |∪_i D[l_i]|  — no re-traversal of the
-/// polynomials per node. Residual identity uses 64-bit hashing; collisions
+/// Abstracting node v merges two monomials of one polynomial exactly when
+/// their leaves lie below v and their residuals agree — the monomial with
+/// its tree variable replaced by a sentinel, hashed (64-bit; collisions
 /// are possible in principle but astronomically unlikely, and the exact
-/// ComputeLossNaive() is available wherever certainty is required.
-/// Storage is CSR: one contiguous key array grouped by leaf position plus
-/// an offsets array, so NodeLoss — the DP inner loop — walks one
-/// sequential range per node (tree leaves are DFS-contiguous below every
-/// node) instead of chasing a vector-of-vectors. Distinctness is counted
-/// by sort+unique over a reused scratch buffer rather than a hash set:
-/// same asymptotics in practice, strictly sequential memory traffic.
+/// ComputeLossNaive() is available wherever certainty is required). So
+/// ML({v}) = Σ over residual keys of (occurrences below v − 1, if any).
 ///
-/// Incremental updates: AppendPolynomials indexes polynomials added after
-/// the build into per-leaf overflow vectors (the CSR body is immutable),
-/// which NodeLoss folds in. Overflow stays tiny — it holds one delta's
-/// worth of keys while the incremental DP patches; a full rebuild
-/// re-flattens everything.
+/// One pass. Monomials of different polynomials never merge, so the build
+/// takes one polynomial at a time and walks its monomials in leaf (DFS)
+/// order, remembering in a flat open-addressing table the last leaf
+/// position each residual key was seen at. A repeat of a key at position
+/// i, last seen at position p, records one duplicate at LCA(p, i) — the
+/// deepest ancestor of leaf i whose leaf range starts at or before p.
+/// Summing duplicates up the tree gives every node's monomial loss: leaf
+/// ranges are DFS-contiguous, so a key's occurrences below v are one run
+/// of its position-sorted list, and exactly run-length − 1 of its
+/// consecutive pairs meet inside v. Present-leaf counts are summed the
+/// same way for the variable loss. The keys are not kept.
+///
+/// Appends. AppendPolynomials runs the same pass over polynomials added
+/// since the build, adding each new duplicate to its LCA and every node
+/// above it (the dirty leaf→root paths), and each newly present leaf to
+/// its ancestors. Appended polynomials only merge among their own
+/// monomials, so the patched table equals a fresh index over the grown
+/// set, node for node.
 class LeafResidualIndex {
  public:
-  /// Builds the index for `tree` over `polys`. The tree must be compatible
+  /// Builds the table for `tree` over `polys`. The tree must be compatible
   /// with the polynomials (≤1 tree variable per monomial).
   LeafResidualIndex(const PolynomialSet& polys, const AbstractionTree& tree);
 
-  /// Loss of the singleton VVS {v} relative to the ORIGINAL polynomials:
+  /// Loss of the singleton VVS {v} relative to the indexed polynomials:
   /// ml = monomials merged away by grouping all leaves below v;
   /// vl = (#present descendant leaves − 1), clamped at 0.
-  LossReport NodeLoss(NodeIndex v) const;
+  LossReport NodeLoss(NodeIndex v) const {
+    const uint32_t present = present_below_[v];
+    return LossReport{dup_below_[v], present > 0 ? present - 1u : 0u};
+  }
 
   /// Number of leaves below `v` whose variable actually occurs in the
   /// polynomials.
-  size_t PresentLeavesBelow(NodeIndex v) const;
+  size_t PresentLeavesBelow(NodeIndex v) const { return present_below_[v]; }
 
-  /// Total residual keys stored (diagnostics).
-  size_t TotalKeys() const;
+  /// Number of tree nodes the table covers.
+  size_t node_count() const { return dup_below_.size(); }
 
-  /// What one AppendPolynomials call changed, in enough detail to patch
-  /// previously computed NodeLoss values without re-sorting whole key
-  /// ranges: the dirty leaf positions (sorted, distinct) and the keys this
-  /// append added at each.
-  struct AppendDelta {
-    std::vector<uint32_t> dirty;
-    std::vector<std::vector<uint64_t>> new_keys;  ///< Parallel to `dirty`.
-  };
+  /// Rough resident size, for cache accounting.
+  size_t ApproxBytes() const;
 
   /// Indexes the polynomials appended since the build (or the previous
-  /// append): [indexed_count, polys.count()). `polys` must be the built
-  /// set plus appends — the already-indexed prefix must be unchanged.
-  /// Returns the dirty set the incremental DP re-solves above.
-  AppendDelta AppendPolynomials(const PolynomialSet& polys);
-
-  /// Patches a NodeLoss value computed BEFORE the latest AppendPolynomials
-  /// call, given that call's delta: ml grows by (keys appended below v) −
-  /// (distinct appended keys new below v), and vl tracks leaves below v
-  /// that first became present. O(keys below v) worst case — a sequential
-  /// membership scan, no sort — and O(1) when no dirty leaf is below v.
-  /// Equals NodeLoss(v) recomputed from scratch, by construction.
-  LossReport PatchNodeLoss(NodeIndex v, LossReport before,
-                           const AppendDelta& delta) const;
+  /// append), [indexed_count, polys.count()), and patches the node losses
+  /// they change. `polys` must be the indexed set plus appends, and `tree`
+  /// shape-identical to the tree the index was built for (same nodes and
+  /// leaf labels in DFS order). Returns the dirty leaf positions (sorted,
+  /// distinct): every node whose loss changed is an ancestor of one.
+  std::vector<uint32_t> AppendPolynomials(const PolynomialSet& polys,
+                                          const AbstractionTree& tree);
 
   /// Number of polynomials this index has consumed.
   size_t indexed_count() const { return indexed_count_; }
 
-  /// Re-points the index at `tree` — for retained indexes copied into a
-  /// context where the original tree object is gone. The caller must have
-  /// verified the new tree is shape-identical (same node count and leaf
-  /// labels in DFS order); the stored keys and offsets are only meaningful
-  /// against that exact shape.
-  void Rebind(const AbstractionTree& tree) { tree_ = &tree; }
-
  private:
-  void IndexPolynomial(size_t poly_index, const Polynomial& poly,
-                       std::vector<std::vector<uint64_t>>& sink) const;
+  static constexpr uint32_t kNoLeaf = 0xFFFFFFFFu;
 
-  const AbstractionTree* tree_;
-  /// CSR body: keys_[offsets_[i] .. offsets_[i+1]) = residual keys of the
-  /// i'th leaf in tree DFS leaf order (position in tree.leaves()).
-  std::vector<uint64_t> keys_;
-  std::vector<uint32_t> offsets_;
-  /// Keys from AppendPolynomials, per leaf position; folded into every
-  /// query alongside the CSR body.
-  std::vector<std::vector<uint64_t>> overflow_by_leafpos_;
-  /// Leaf label -> position in tree.leaves(); retained for appends.
-  std::unordered_map<VariableId, uint32_t> leafpos_;
+  /// Leaf position of the (single) tree variable in `m`, or kNoLeaf.
+  uint32_t LeafPosOf(const Monomial& m) const;
+
+  struct Buffers;  // Per-polynomial buffers (loss.cc).
+
+  /// Marks the leaves `poly` occurs at present and appends to `lcas` the
+  /// LCA of each duplicate residual pair.
+  void IndexPolynomial(const Polynomial& poly, const AbstractionTree& tree,
+                       Buffers& buffers, std::vector<NodeIndex>& lcas);
+
+  /// Variable id -> leaf position (kNoLeaf for non-leaves); ids are dense.
+  std::vector<uint32_t> leafpos_;
+  /// Leaf position -> leaf label, the variable a residual key replaces.
+  std::vector<VariableId> leaf_labels_;
+  /// Per node: duplicate residuals below it (its monomial loss), and
+  /// leaves below it that occur in the polynomials.
+  std::vector<size_t> dup_below_;
+  std::vector<uint32_t> present_below_;
   size_t indexed_count_ = 0;
 };
 

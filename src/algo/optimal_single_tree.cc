@@ -13,10 +13,39 @@ namespace provabs {
 namespace {
 
 using internal::ConvPrefixes;
+using internal::DpEntry;
 using internal::DpNodeArray;
 using internal::RetainedDpState;
 
 constexpr uint64_t kBottom = std::numeric_limits<uint64_t>::max();
+
+/// ⊥ inside the convolution's dense buffers: a large FINITE sentinel, not
+/// kBottom, so ⊥ + vl never wraps and the shift-min needs no per-element
+/// absence branch (the compiler vectorizes it). Real vl values are bounded
+/// by the leaf count, orders of magnitude below it, so ⊥-derived sums
+/// never beat a real entry.
+constexpr uint64_t kDenseInf = uint64_t{1} << 62;
+
+/// (bucket, vl) pairs, one per bucket, sorted by bucket: a convolution
+/// accumulator, or one prefix snapshot.
+using Flat = std::vector<std::pair<uint32_t, uint64_t>>;
+
+/// A node's entries folded into `clamp`: buckets at or above it collapse
+/// into the clamp bucket (min vl wins). Sorted in, sorted out.
+Flat FoldInto(const std::vector<DpEntry>& entries, uint32_t clamp) {
+  Flat out;
+  out.reserve(entries.size());
+  uint64_t tail = kBottom;
+  for (const DpEntry& e : entries) {
+    if (e.bucket < clamp) {
+      out.emplace_back(e.bucket, e.vl);
+    } else if (e.vl < tail) {
+      tail = e.vl;
+    }
+  }
+  if (tail != kBottom) out.emplace_back(clamp, tail);
+  return out;
+}
 
 /// Convolution of children arrays (procedure computeArray): combines cuts of
 /// independent sibling subtrees; losses add, buckets clamp at `clamp`. When
@@ -34,61 +63,37 @@ DpNodeArray Convolve(
     const std::vector<const DpNodeArray*>& children, uint32_t clamp,
     ConvPrefixes* prefixes) {
   PROVABS_CHECK(!children.empty());
-  DpNodeArray tau;
-  // The copy must carry only the child's VALUES: `use_self` describes the
+  // The copy must carry only the child's VALUES: `self` describes the
   // child's own singleton optimum, and a unary parent inheriting it would
   // make Reconstruct emit the parent where the DP actually scored the
   // child's singleton VVS — diverging from the dense ablation arm, whose
   // ConvolveDense never propagates the flag. Raw buckets beyond `clamp`
   // fold into the clamp bucket (min vl wins).
-  for (const auto& [b, v] : children[0]->vl) {
-    uint32_t bucket = std::min(b, clamp);
-    auto it = tau.vl.find(bucket);
-    if (it == tau.vl.end() || v < it->second) tau.vl[bucket] = v;
-  }
-  auto snapshot = [&](const DpNodeArray& arr) {
-    if (!prefixes) return;
-    prefixes->emplace_back();
-    auto& flat = prefixes->back();
-    flat.reserve(arr.vl.size());
-    for (const auto& [b, v] : arr.vl) flat.emplace_back(b, v);
-  };
+  Flat tau = FoldInto(children[0]->entries, clamp);
   if (prefixes) {
     prefixes->clear();
     prefixes->reserve(children.size());
+    prefixes->push_back(tau);
   }
-  snapshot(tau);
   for (size_t i = 1; i < children.size(); ++i) {
     // Pre-fold the child's raw buckets into the clamp (keeping the minimal
     // vl per folded bucket): min(s + min(j,c), c) == min(s + j, c), so the
     // step's result is unchanged and the inner loops see fewer entries.
-    std::vector<std::pair<uint32_t, uint64_t>> child_entries;
-    {
-      std::unordered_map<uint32_t, uint64_t> folded;
-      for (const auto& [j_raw, vl_child] : children[i]->vl) {
-        uint32_t j = std::min(j_raw, clamp);
-        auto it = folded.find(j);
-        if (it == folded.end() || vl_child < it->second) folded[j] = vl_child;
-      }
-      child_entries.assign(folded.begin(), folded.end());
-    }
-    // Near the root the accumulator approaches one entry per bucket and
-    // hash-map traffic dominates the DP; a dense pass over sequential
-    // vectors is then several times faster. Sparse stays for thin
-    // accumulators (large clamp, few achievable losses), where a clamp-
-    // sized sweep would be the waste. Both arms apply the same minimum,
-    // so results are identical.
-    const bool dense_step =
-        tau.vl.size() * 8 > static_cast<size_t>(clamp) + 1;
-    if (dense_step) {
-      // ⊥ is a large FINITE sentinel here, not kBottom: ⊥ + vl_child must
-      // not wrap, so the value pass below needs no per-element absence
-      // branch — it is a pure shift-min the compiler vectorizes. Real vl
-      // values are bounded by the leaf count, orders of magnitude below
-      // the sentinel, so ⊥-derived sums never beat a real entry.
-      constexpr uint64_t kDenseInf = uint64_t{1} << 62;
+    const Flat child_entries = FoldInto(children[i]->entries, clamp);
+    // Near the root the accumulator approaches one entry per bucket, and a
+    // shift-min over the whole clamp range is fastest. Thinner
+    // accumulators combine their (prefix, child) pairs directly: through a
+    // dense buffer over the reachable range when the pairs can fill it, by
+    // sorting when a few pairs spread over a wide range. Every arm applies
+    // the same minimum and emits buckets in order, so results are
+    // identical.
+    Flat next;
+    const uint64_t reach = std::min<uint64_t>(
+        clamp, uint64_t{tau.back().first} + child_entries.back().first);
+    const size_t pairs = tau.size() * child_entries.size();
+    if (tau.size() * 8 > static_cast<size_t>(clamp) + 1) {
       std::vector<uint64_t> dtau(clamp + 1, kDenseInf);
-      for (const auto& [s, v] : tau.vl) dtau[s] = v;  // tau is clamped.
+      for (const auto& [s, v] : tau) dtau[s] = v;  // tau is clamped.
       std::vector<uint64_t> dnext(clamp + 1, kDenseInf);
       for (const auto& [j, vl_child] : child_entries) {
         const uint32_t cap = clamp - j;  // s ≥ cap ⇒ s + j clamps.
@@ -104,28 +109,45 @@ DpNodeArray Convolve(
         }
         if (tail + vl_child < dnext[clamp]) dnext[clamp] = tail + vl_child;
       }
-      DpNodeArray next;
       for (uint32_t b = 0; b <= clamp; ++b) {
-        if (dnext[b] >= kDenseInf) continue;
-        next.vl[b] = dnext[b];
+        if (dnext[b] < kDenseInf) next.emplace_back(b, dnext[b]);
       }
-      tau = std::move(next);
-    } else {
-      DpNodeArray next;
-      for (const auto& [s, vl_prefix] : tau.vl) {
-        for (const auto& [j, vl_child] : child_entries) {
-          uint32_t bucket = std::min<uint64_t>(
-              static_cast<uint64_t>(s) + j, clamp);
-          uint64_t vl = vl_prefix + vl_child;
-          auto it = next.vl.find(bucket);
-          if (it == next.vl.end() || vl < it->second) next.vl[bucket] = vl;
+    } else if (pairs * 8 > reach) {
+      std::vector<uint64_t> acc(reach + 1, kDenseInf);
+      for (const auto& [j, vl_child] : child_entries) {
+        for (const auto& [s, vl_prefix] : tau) {
+          const uint64_t b = std::min<uint64_t>(uint64_t{s} + j, clamp);
+          const uint64_t vl = vl_prefix + vl_child;
+          if (vl < acc[b]) acc[b] = vl;
         }
       }
-      tau = std::move(next);
+      for (uint32_t b = 0; b <= reach; ++b) {
+        if (acc[b] < kDenseInf) next.emplace_back(b, acc[b]);
+      }
+    } else {
+      next.reserve(pairs);
+      for (const auto& [s, vl_prefix] : tau) {
+        for (const auto& [j, vl_child] : child_entries) {
+          next.emplace_back(
+              std::min<uint64_t>(uint64_t{s} + j, clamp), vl_prefix + vl_child);
+        }
+      }
+      // Sorted by (bucket, vl): the first entry of each bucket is its min.
+      std::sort(next.begin(), next.end());
+      next.erase(std::unique(next.begin(), next.end(),
+                             [](const auto& a, const auto& b) {
+                               return a.first == b.first;
+                             }),
+                 next.end());
     }
-    snapshot(tau);
+    tau = std::move(next);
+    if (prefixes) prefixes->push_back(tau);
   }
-  return tau;
+  DpNodeArray out;
+  // One spare slot for the node's own singleton entry.
+  out.entries.reserve(tau.size() + 1);
+  for (const auto& [b, v] : tau) out.entries.push_back(DpEntry{b, false, v});
+  return out;
 }
 
 /// Dense-array variant of the same convolution, used when
@@ -135,15 +157,15 @@ DpNodeArray ConvolveDense(const std::vector<const DpNodeArray*>& children,
                           uint32_t clamp) {
   PROVABS_CHECK(!children.empty());
   std::vector<uint64_t> tau(clamp + 1, kBottom);
-  for (const auto& [b, v] : children[0]->vl) {
-    uint32_t bucket = std::min(b, clamp);
-    if (v < tau[bucket]) tau[bucket] = v;
+  for (const DpEntry& e : children[0]->entries) {
+    uint32_t bucket = std::min(e.bucket, clamp);
+    if (e.vl < tau[bucket]) tau[bucket] = e.vl;
   }
   for (size_t i = 1; i < children.size(); ++i) {
     std::vector<uint64_t> dense_child(clamp + 1, kBottom);
-    for (const auto& [b, v] : children[i]->vl) {
-      uint32_t bucket = std::min(b, clamp);
-      if (v < dense_child[bucket]) dense_child[bucket] = v;
+    for (const DpEntry& e : children[i]->entries) {
+      uint32_t bucket = std::min(e.bucket, clamp);
+      if (e.vl < dense_child[bucket]) dense_child[bucket] = e.vl;
     }
     std::vector<uint64_t> next(clamp + 1, kBottom);
     for (uint32_t s = 0; s <= clamp; ++s) {
@@ -159,7 +181,7 @@ DpNodeArray ConvolveDense(const std::vector<const DpNodeArray*>& children,
   }
   DpNodeArray out;
   for (uint32_t b = 0; b <= clamp; ++b) {
-    if (tau[b] != kBottom) out.Offer(b, tau[b], false);
+    if (tau[b] != kBottom) out.entries.push_back(DpEntry{b, false, tau[b]});
   }
   return out;
 }
@@ -178,7 +200,6 @@ struct Solver {
   Deadline deadline;
   bool budget_exhausted = false;
   std::vector<DpNodeArray> arrays;         // per node (full runs)
-  std::vector<LossReport> self_loss;       // per node, loss of VVS {v}
   std::vector<NodeRef>* out_nodes;
   uint32_t tree_index;
 
@@ -239,15 +260,11 @@ struct Solver {
     return true;
   }
 
-  /// Recomputes one internal node's self loss and array from its (already
-  /// current) children. Shared by the full bottom-up pass and the dirty-
-  /// path patch pass; the latter passes `refresh_self = false` after
-  /// patching self_loss[v] incrementally (PatchNodeLoss), since a from-
-  /// scratch NodeLoss at the root re-sorts every key — an O(|P| log |P|)
-  /// term the patch exists to avoid.
-  void ComputeNode(NodeIndex v, bool refresh_self = true) {
+  /// Recomputes one internal node's array from its (already current)
+  /// children and its singleton loss, a table lookup. Shared by the full
+  /// bottom-up pass and the dirty-path patch pass.
+  void ComputeNode(NodeIndex v) {
     const auto& node = tree->node(v);
-    if (refresh_self) self_loss[v] = index->NodeLoss(v);
     DpNodeArray out;
     if (height1_shortcut && IsHeight1(v)) {
       // Children are all leaves: the convolution is trivially {0:0}.
@@ -268,9 +285,9 @@ struct Solver {
         out = ConvolveDense(children, clamp);
       }
     }
-    uint32_t self_bucket = std::min<uint64_t>(
-        self_loss[v].monomial_loss, clamp);
-    out.Offer(self_bucket, self_loss[v].variable_loss, true);
+    const LossReport self = index->NodeLoss(v);
+    uint32_t self_bucket = std::min<uint64_t>(self.monomial_loss, clamp);
+    out.Offer(self_bucket, self.variable_loss, true);
     MutableArr(v) = std::move(out);
   }
 
@@ -278,7 +295,6 @@ struct Solver {
     const size_t n = tree->node_count();
     arrays.resize(n);
     prefix_store.resize(n);
-    self_loss.resize(n);
     // DFS pre-order storage: reverse iteration is post-order.
     for (size_t i = n; i-- > 0;) {
       NodeIndex v = static_cast<NodeIndex>(i);
@@ -296,11 +312,10 @@ struct Solver {
       // any k is decided exactly as the full DP would.
       if (!budget_exhausted && deadline.Expired()) budget_exhausted = true;
       if (budget_exhausted) {
-        self_loss[v] = index->NodeLoss(v);
+        const LossReport self = index->NodeLoss(v);
         arrays[v].Offer(0, 0, false);
-        uint32_t self_bucket = std::min<uint64_t>(
-            self_loss[v].monomial_loss, clamp);
-        arrays[v].Offer(self_bucket, self_loss[v].variable_loss, true);
+        uint32_t self_bucket = std::min<uint64_t>(self.monomial_loss, clamp);
+        arrays[v].Offer(self_bucket, self.variable_loss, true);
         continue;
       }
       ComputeNode(v);
@@ -311,9 +326,9 @@ struct Solver {
   /// min over raw entries whose bucket clamps to `bucket`.
   uint64_t ViewedGet(NodeIndex v, uint32_t bucket, uint32_t view) const {
     uint64_t best = kBottom;
-    for (const auto& [b, value] : Arr(v).vl) {
-      if (std::min(b, view) != bucket) continue;
-      if (value < best) best = value;
+    for (const DpEntry& e : Arr(v).entries) {
+      if (std::min(e.bucket, view) != bucket) continue;
+      if (e.vl < best) best = e.vl;
     }
     return best;
   }
@@ -327,13 +342,10 @@ struct Solver {
   bool ViewedUsesSelf(NodeIndex v, uint32_t bucket, uint32_t view) const {
     uint64_t best_self = kBottom;
     uint64_t best_other = kBottom;
-    for (const auto& [b, value] : Arr(v).vl) {
-      if (std::min(b, view) != bucket) continue;
-      if (Arr(v).UsesSelf(b)) {
-        if (value < best_self) best_self = value;
-      } else {
-        if (value < best_other) best_other = value;
-      }
+    for (const DpEntry& e : Arr(v).entries) {
+      if (std::min(e.bucket, view) != bucket) continue;
+      uint64_t& best = e.self ? best_self : best_other;
+      if (e.vl < best) best = e.vl;
     }
     return best_self < best_other;
   }
@@ -403,17 +415,7 @@ struct Solver {
       const uint64_t target = proj_cur[j];
       project((*prefs)[i - 1], proj_prev);
       // Child i's entries folded into the view, sorted by bucket.
-      std::vector<std::pair<uint32_t, uint64_t>> folded;
-      {
-        std::unordered_map<uint32_t, uint64_t> fold;
-        for (const auto& [jc_raw, vlc] : children[i]->vl) {
-          uint32_t jc = std::min(jc_raw, view);
-          auto it = fold.find(jc);
-          if (it == fold.end() || vlc < it->second) fold[jc] = vlc;
-        }
-        folded.assign(fold.begin(), fold.end());
-        std::sort(folded.begin(), folded.end());
-      }
+      const Flat folded = FoldInto(children[i]->entries, view);
       bool found = false;
       uint32_t s_pick = 0, jc_pick = 0;
       if (j < view) {
@@ -475,6 +477,29 @@ struct Solver {
   }
 };
 
+/// The retained form of node v's array, as OptimalRecompress reads it:
+/// every patch recomputes the root, so the root's array (the largest) is
+/// not kept, and all leaves share one {0:0} array.
+std::shared_ptr<const DpNodeArray> RetainArray(const AbstractionTree& tree,
+                                               NodeIndex v, DpNodeArray&& a) {
+  static const std::shared_ptr<const DpNodeArray> kLeaf = [] {
+    auto leaf = std::make_shared<DpNodeArray>();
+    leaf->Offer(0, 0, false);
+    return leaf;
+  }();
+  if (tree.node(v).is_leaf()) return kLeaf;
+  if (v == tree.root()) return nullptr;
+  return std::make_shared<DpNodeArray>(std::move(a));
+}
+
+/// The retained form of node v's convolution prefixes: none for the root
+/// (recomputed by every patch) or for nodes without a convolution.
+std::shared_ptr<const ConvPrefixes> RetainPrefixes(
+    const AbstractionTree& tree, NodeIndex v, ConvPrefixes&& prefixes) {
+  if (v == tree.root() || prefixes.empty()) return nullptr;
+  return std::make_shared<ConvPrefixes>(std::move(prefixes));
+}
+
 /// Builds the forest-wide result from the cut chosen on `tree_index`:
 /// leaves of OTHER trees are untouched by the single-tree algorithm and
 /// are appended so the VVS is valid for the whole forest.
@@ -484,7 +509,7 @@ struct Solver {
 /// variable of the tree, so monomials merge only within one chosen node's
 /// range and vanished/introduced variables never overlap across nodes —
 /// the same additivity the DP's (min,+) convolution is built on. Summing
-/// `self_loss` makes finishing O(|cut|) where ComputeLossNaive would
+/// table lookups makes finishing O(|cut|) where ComputeLossNaive would
 /// materialize the whole compressed set, which matters to the patch path:
 /// an O(|P|) finish would swamp the dirty-path recompute it saved. (Like
 /// the DP itself, this counts merges by residual-key identity and so
@@ -492,12 +517,12 @@ struct Solver {
 CompressionResult FinishResult(std::vector<NodeRef> chosen,
                                const AbstractionForest& forest,
                                uint32_t tree_index,
-                               const std::vector<LossReport>& self_loss,
-                               uint32_t k) {
+                               const LeafResidualIndex& index, uint32_t k) {
   LossReport loss;
   for (const NodeRef& ref : chosen) {
-    loss.monomial_loss += self_loss[ref.node].monomial_loss;
-    loss.variable_loss += self_loss[ref.node].variable_loss;
+    const LossReport self = index.NodeLoss(ref.node);
+    loss.monomial_loss += self.monomial_loss;
+    loss.variable_loss += self.variable_loss;
   }
   for (uint32_t t = 0; t < forest.tree_count(); ++t) {
     if (t == tree_index) continue;
@@ -514,18 +539,43 @@ CompressionResult FinishResult(std::vector<NodeRef> chosen,
 
 }  // namespace
 
-StatusOr<CompressionResult> OptimalSingleTree(
+StatusOr<std::shared_ptr<const LeafResidualIndex>> BuildLossTable(
     const PolynomialSet& polys, const AbstractionForest& forest,
-    uint32_t tree_index, size_t bound_b, const OptimalOptions& options) {
+    uint32_t tree_index) {
   if (tree_index >= forest.tree_count()) {
     return Status::InvalidArgument("tree index out of range");
   }
   const AbstractionTree& tree = forest.tree(tree_index);
   Status compat = tree.CheckCompatible(polys);
   if (!compat.ok()) return compat;
+  return std::shared_ptr<const LeafResidualIndex>(
+      std::make_shared<LeafResidualIndex>(polys, tree));
+}
+
+StatusOr<CompressionResult> OptimalSingleTree(
+    const PolynomialSet& polys, const AbstractionForest& forest,
+    uint32_t tree_index, size_t bound_b, const OptimalOptions& options) {
+  auto table = BuildLossTable(polys, forest, tree_index);
+  if (!table.ok()) return table.status();
+  return OptimalSingleTree(polys, forest, tree_index, bound_b,
+                           std::move(*table), options);
+}
+
+StatusOr<CompressionResult> OptimalSingleTree(
+    const PolynomialSet& polys, const AbstractionForest& forest,
+    uint32_t tree_index, size_t bound_b,
+    std::shared_ptr<const LeafResidualIndex> table,
+    const OptimalOptions& options) {
+  if (tree_index >= forest.tree_count()) {
+    return Status::InvalidArgument("tree index out of range");
+  }
+  const AbstractionTree& tree = forest.tree(tree_index);
   if (bound_b == 0) {
     return Status::InvalidArgument("bound must be at least 1");
   }
+  PROVABS_CHECK(table != nullptr &&
+                table->indexed_count() == polys.count() &&
+                table->node_count() == tree.node_count());
 
   const size_t size_m = polys.SizeM();
   const uint32_t k = bound_b >= size_m
@@ -537,10 +587,9 @@ StatusOr<CompressionResult> OptimalSingleTree(
   const uint32_t clamp = static_cast<uint32_t>(std::min<uint64_t>(
       size_m, static_cast<uint64_t>(k) + options.retain_headroom));
 
-  LeafResidualIndex index(polys, tree);
   Solver solver;
   solver.tree = &tree;
-  solver.index = &index;
+  solver.index = table.get();
   solver.clamp = clamp;
   solver.sparse_arrays = options.sparse_arrays;
   solver.height1_shortcut = options.height1_shortcut;
@@ -562,10 +611,10 @@ StatusOr<CompressionResult> OptimalSingleTree(
   for (const NodeRef& ref : chosen) chosen_here.push_back(ref.node);
 
   CompressionResult result =
-      FinishResult(std::move(chosen), forest, tree_index, solver.self_loss, k);
+      FinishResult(std::move(chosen), forest, tree_index, *table, k);
   result.budget_exhausted = solver.budget_exhausted;
   if (options.retain_state && !solver.budget_exhausted) {
-    auto state = std::make_shared<RetainedDpState>(std::move(index));
+    auto state = std::make_shared<RetainedDpState>(std::move(table));
     state->tree_index = tree_index;
     state->bound = bound_b;
     state->size_m = size_m;
@@ -578,16 +627,13 @@ StatusOr<CompressionResult> OptimalSingleTree(
     for (NodeIndex leaf : tree.leaves()) {
       state->leaf_labels.push_back(tree.node(leaf).label);
     }
-    state->arrays.reserve(solver.arrays.size());
-    for (DpNodeArray& a : solver.arrays) {
-      state->arrays.push_back(std::make_shared<DpNodeArray>(std::move(a)));
+    state->arrays.resize(tree.node_count());
+    state->prefixes.resize(tree.node_count());
+    for (NodeIndex v = 0; v < tree.node_count(); ++v) {
+      state->arrays[v] = RetainArray(tree, v, std::move(solver.arrays[v]));
+      state->prefixes[v] =
+          RetainPrefixes(tree, v, std::move(solver.prefix_store[v]));
     }
-    state->prefixes.reserve(solver.prefix_store.size());
-    for (ConvPrefixes& p : solver.prefix_store) {
-      state->prefixes.push_back(
-          std::make_shared<ConvPrefixes>(std::move(p)));
-    }
-    state->self_loss = std::move(solver.self_loss);
     state->chosen = std::move(chosen_here);
     result.dp_state = std::move(state);
   }
@@ -671,20 +717,21 @@ StatusOr<CompressionResult> OptimalRecompress(
 
   // Copy-on-patch: the retained state stays immutable for other readers.
   // The per-node arrays are shared pointers, so this copies O(tree) handles
-  // plus the residual index — not the DP tables themselves.
+  // plus the loss table — not the DP tables themselves.
   auto next = std::make_shared<RetainedDpState>(st);
-  next->index.Rebind(tree);
-  LeafResidualIndex::AppendDelta appended =
-      next->index.AppendPolynomials(polys);
+  auto index = std::make_shared<LeafResidualIndex>(*st.index);
+  const std::vector<uint32_t> dirty_leaves =
+      index->AppendPolynomials(polys, tree);
+  next->index = index;
 
-  if (!appended.dirty.empty()) {
+  if (!dirty_leaves.empty()) {
     // Frontier test: an append landing strictly below a chosen internal
     // node changes the interior the previous cut abstracted away — the
     // ISSUE's contract is to recompress that from scratch.
     for (NodeIndex c : st.chosen) {
       const auto& node = tree.node(c);
       if (node.is_leaf()) continue;
-      for (uint32_t pos : appended.dirty) {
+      for (uint32_t pos : dirty_leaves) {
         if (pos >= node.leaf_begin && pos < node.leaf_end) {
           return fail(RecompressFallback::kCrossesCut,
                       "append touches a leaf inside the abstracted cut");
@@ -695,41 +742,31 @@ StatusOr<CompressionResult> OptimalRecompress(
 
   Solver solver;
   solver.tree = &tree;
-  solver.index = &next->index;
+  solver.index = index.get();
   solver.clamp = st.clamp;
   solver.sparse_arrays = st.sparse_arrays;
   solver.height1_shortcut = st.height1_shortcut;
   solver.tree_index = st.tree_index;
   solver.base_arrays = &next->arrays;
   solver.base_prefixes = &next->prefixes;
-  solver.self_loss = std::move(next->self_loss);
 
-  if (!appended.dirty.empty()) {
-    // Recompute exactly the ancestors of dirty leaves, bottom-up (reverse
-    // pre-order). Clean subtrees' arrays are byte-identical to what a full
-    // re-run would compute, so reusing them preserves field-equality.
-    // Dirty nodes' self losses are patched from the append delta rather
-    // than recomputed — NodeLoss at the root would re-sort every key.
-    const size_t n = tree.node_count();
-    std::vector<NodeIndex> parent(n, static_cast<NodeIndex>(n));
-    for (NodeIndex v = 0; v < n; ++v) {
-      for (NodeIndex c : tree.node(v).children) parent[c] = v;
+  // Recompute exactly the ancestors of dirty leaves, bottom-up (reverse
+  // pre-order), and the root, whose array is never retained. Clean
+  // subtrees' arrays are byte-identical to what a full re-run would
+  // compute, so reusing them preserves field-equality; the append already
+  // patched the dirty nodes' losses in the table.
+  std::vector<char> dirty(tree.node_count(), 0);
+  dirty[tree.root()] = 1;
+  for (uint32_t pos : dirty_leaves) {
+    for (NodeIndex v = tree.leaves()[pos]; v != kInvalidNode && !dirty[v];
+         v = tree.node(v).parent) {
+      dirty[v] = 1;
     }
-    std::vector<char> dirty(n, 0);
-    for (uint32_t pos : appended.dirty) {
-      NodeIndex v = tree.leaves()[pos];
-      while (v < n && !dirty[v]) {
-        dirty[v] = 1;
-        v = parent[v];
-      }
-    }
-    for (size_t i = n; i-- > 0;) {
-      NodeIndex v = static_cast<NodeIndex>(i);
-      if (!dirty[v] || tree.node(v).is_leaf()) continue;
-      solver.self_loss[v] =
-          next->index.PatchNodeLoss(v, solver.self_loss[v], appended);
-      solver.ComputeNode(v, /*refresh_self=*/false);
-    }
+  }
+  for (size_t i = tree.node_count(); i-- > 0;) {
+    NodeIndex v = static_cast<NodeIndex>(i);
+    if (!dirty[v] || tree.node(v).is_leaf()) continue;
+    solver.ComputeNode(v);
   }
 
   if (solver.ViewedGet(tree.root(), k, k) == kBottom) {
@@ -744,17 +781,16 @@ StatusOr<CompressionResult> OptimalRecompress(
   chosen_here.reserve(chosen.size());
   for (const NodeRef& ref : chosen) chosen_here.push_back(ref.node);
 
-  CompressionResult result = FinishResult(std::move(chosen), forest,
-                                          st.tree_index, solver.self_loss, k);
+  CompressionResult result =
+      FinishResult(std::move(chosen), forest, st.tree_index, *index, k);
   // Publish the recomputed arrays; every other node keeps aliasing the
   // previous generation's (identical) table.
   for (auto& [v, arr] : solver.overlay) {
-    next->arrays[v] = std::make_shared<DpNodeArray>(std::move(arr));
+    next->arrays[v] = RetainArray(tree, v, std::move(arr));
   }
   for (auto& [v, prefs] : solver.prefix_overlay) {
-    next->prefixes[v] = std::make_shared<ConvPrefixes>(std::move(prefs));
+    next->prefixes[v] = RetainPrefixes(tree, v, std::move(prefs));
   }
-  next->self_loss = std::move(solver.self_loss);
   next->size_m = size_m;
   next->revision = delta.to_revision;
   next->chosen = std::move(chosen_here);
@@ -766,31 +802,29 @@ namespace internal {
 
 StatusOr<std::vector<std::pair<uint32_t, uint64_t>>> RootLossProfile(
     const PolynomialSet& polys, const AbstractionForest& forest,
-    uint32_t tree_index) {
+    uint32_t tree_index, const LeafResidualIndex& table) {
   if (tree_index >= forest.tree_count()) {
     return Status::InvalidArgument("tree index out of range");
   }
   const AbstractionTree& tree = forest.tree(tree_index);
-  Status compat = tree.CheckCompatible(polys);
-  if (!compat.ok()) return compat;
+  PROVABS_CHECK(table.indexed_count() == polys.count() &&
+                table.node_count() == tree.node_count());
 
-  const size_t size_m = polys.SizeM();
   // clamp = |P|_M exceeds every achievable monomial loss (at least one
   // monomial always survives per non-empty polynomial), so no bucket is
   // clamped and the root array is exact at every entry.
-  LeafResidualIndex index(polys, tree);
   Solver solver;
   solver.tree = &tree;
-  solver.index = &index;
-  solver.clamp = static_cast<uint32_t>(size_m);
+  solver.index = &table;
+  solver.clamp = static_cast<uint32_t>(polys.SizeM());
   solver.tree_index = tree_index;
   // The default deadline is infinite; the DP cannot degrade.
   solver.ComputeArrays();
 
-  const DpNodeArray& root = solver.arrays[tree.root()];
-  std::vector<std::pair<uint32_t, uint64_t>> profile(root.vl.begin(),
-                                                     root.vl.end());
-  std::sort(profile.begin(), profile.end());
+  std::vector<std::pair<uint32_t, uint64_t>> profile;
+  for (const DpEntry& e : solver.arrays[tree.root()].entries) {
+    profile.emplace_back(e.bucket, e.vl);
+  }
   return profile;
 }
 

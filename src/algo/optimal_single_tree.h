@@ -1,9 +1,9 @@
 #ifndef PROVABS_ALGO_OPTIMAL_SINGLE_TREE_H_
 #define PROVABS_ALGO_OPTIMAL_SINGLE_TREE_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "abstraction/abstraction_forest.h"
@@ -38,7 +38,7 @@ struct OptimalOptions {
   /// the (min,+) convolution; the query runs in the k-clamped view), so
   /// this knob trades DP work for incremental patchability only.
   uint32_t retain_headroom = 64;
-  /// Keep the per-tree DP tables (arrays, residual index, chosen cut) on
+  /// Keep the per-tree DP tables (arrays, loss table, chosen cut) on
   /// the result for OptimalRecompress. Never retained for budget-exhausted
   /// runs, whose degraded arrays are not exact.
   bool retain_state = true;
@@ -46,26 +46,30 @@ struct OptimalOptions {
 
 namespace internal {
 
-/// Per-node DP table: bucket (= min(ML, clamp)) -> minimal variable loss,
-/// plus whether the optimum at that bucket is the singleton VVS {v}.
-/// Buckets absent from `vl` are ⊥.
-struct DpNodeArray {
-  std::unordered_map<uint32_t, uint64_t> vl;
-  std::unordered_map<uint32_t, bool> use_self;
+/// One reachable bucket of a node's DP table.
+struct DpEntry {
+  uint32_t bucket = 0;  ///< min(ML, clamp).
+  bool self = false;    ///< The optimum here is the singleton VVS {v}.
+  uint64_t vl = 0;      ///< Minimal variable loss at this bucket.
+};
 
-  uint64_t Get(uint32_t bucket) const {
-    auto it = vl.find(bucket);
-    return it == vl.end() ? ~0ull : it->second;
-  }
-  bool UsesSelf(uint32_t bucket) const {
-    auto it = use_self.find(bucket);
-    return it != use_self.end() && it->second;
-  }
+/// Per-node DP table: one entry per reachable bucket, sorted by bucket;
+/// absent buckets are ⊥. Flat, so a retained table costs 16 bytes per
+/// bucket and one allocation per node.
+struct DpNodeArray {
+  std::vector<DpEntry> entries;
+
+  /// Keeps `value` at `bucket` when the bucket is ⊥ or `value` is strictly
+  /// smaller than what it holds.
   void Offer(uint32_t bucket, uint64_t value, bool self) {
-    auto it = vl.find(bucket);
-    if (it == vl.end() || value < it->second) {
-      vl[bucket] = value;
-      use_self[bucket] = self;
+    auto it = std::lower_bound(
+        entries.begin(), entries.end(), bucket,
+        [](const DpEntry& e, uint32_t b) { return e.bucket < b; });
+    if (it == entries.end() || it->bucket != bucket) {
+      entries.insert(it, DpEntry{bucket, self, value});
+    } else if (value < it->vl) {
+      it->vl = value;
+      it->self = self;
     }
   }
 };
@@ -83,11 +87,12 @@ using ConvPrefixes = std::vector<std::vector<std::pair<uint32_t, uint64_t>>>;
 /// The optimal DP's retained per-tree tables, carried opaquely on
 /// CompressionResult::dp_state. Everything OptimalRecompress needs to
 /// patch a previous run after localized appends: the clamp-K node arrays,
-/// per-node self losses, the residual index (appendable), the chosen cut,
-/// and the fingerprints that gate reuse (bound, |P|_M, set revision, tree
+/// the loss table the run read (shared, not copied), the chosen cut, and
+/// the fingerprints that gate reuse (bound, |P|_M, set revision, tree
 /// shape). Immutable once published; Recompress copies it.
 struct RetainedDpState {
-  explicit RetainedDpState(LeafResidualIndex idx) : index(std::move(idx)) {}
+  explicit RetainedDpState(std::shared_ptr<const LeafResidualIndex> table)
+      : index(std::move(table)) {}
 
   uint32_t tree_index = 0;
   uint64_t bound = 0;
@@ -99,27 +104,40 @@ struct RetainedDpState {
   /// Tree-shape fingerprint: node count plus the leaf labels in DFS order.
   size_t node_count = 0;
   std::vector<VariableId> leaf_labels;
-  LeafResidualIndex index;
+  /// The loss table the arrays were computed from. A full run shares the
+  /// table it was handed (one per artifact generation in the server); a
+  /// patched generation holds its own appended copy.
+  std::shared_ptr<const LeafResidualIndex> index;
   /// Per-node arrays, individually shared: a patched generation deep-copies
   /// only the arrays on dirty leaf→root paths and aliases the rest, so the
-  /// copy-on-patch cost is O(dirty path), not O(tree × clamp).
+  /// copy-on-patch cost is O(dirty path), not O(tree × clamp). The root's
+  /// is null: every patch recomputes it, so keeping the largest array of
+  /// the tree would only cost memory. Leaves share one {0:0} array.
   std::vector<std::shared_ptr<const DpNodeArray>> arrays;
-  /// Per-node convolution prefixes, shared like `arrays` (null/empty for
-  /// leaves, height-1 shortcut nodes, and dense-ablation runs, where
+  /// Per-node convolution prefixes, shared like `arrays` (null for the
+  /// root, leaves, height-1 shortcut nodes, and dense-ablation runs, where
   /// Reconstruct rebuilds them on the fly).
   std::vector<std::shared_ptr<const ConvPrefixes>> prefixes;
-  std::vector<LossReport> self_loss;
   /// The cut chosen on THIS tree (node indices, no other trees' leaves).
   std::vector<NodeIndex> chosen;
 };
 
 }  // namespace internal
 
+/// The bound-independent half of Algorithm 1 for tree `tree_index` of
+/// `forest` over `polys`: the §4.1 residual index with every node's
+/// singleton loss (LeafResidualIndex). One table answers the DP at every
+/// bound and the trade-off curve. Returns kInvalidArgument if the tree
+/// index is out of range or the tree is incompatible with the polynomials.
+StatusOr<std::shared_ptr<const LeafResidualIndex>> BuildLossTable(
+    const PolynomialSet& polys, const AbstractionForest& forest,
+    uint32_t tree_index);
+
 /// Algorithm 1 (Optimal Valid Variables Selection): computes an optimal VVS
 /// for the single tree `tree_index` of `forest` under monomial bound
 /// `bound_b`, in time O(n·w·k²·|P|_M) (Proposition 14). Leaves of the tree
 /// that do not occur in `polys` are handled natively (they contribute no
-/// loss), so pre-pruning is not required.
+/// loss), so pre-pruning is not required. Builds its own loss table.
 ///
 /// Returns kInfeasible if no VVS of the tree is adequate for `bound_b`
 /// (Example 8), and kInvalidArgument if the tree is incompatible with the
@@ -127,6 +145,15 @@ struct RetainedDpState {
 StatusOr<CompressionResult> OptimalSingleTree(
     const PolynomialSet& polys, const AbstractionForest& forest,
     uint32_t tree_index, size_t bound_b, const OptimalOptions& options = {});
+
+/// The same DP on `table`, a BuildLossTable result for exactly these
+/// arguments (checked: same polynomial count and tree node count). The
+/// retained DP state shares the table instead of copying it.
+StatusOr<CompressionResult> OptimalSingleTree(
+    const PolynomialSet& polys, const AbstractionForest& forest,
+    uint32_t tree_index, size_t bound_b,
+    std::shared_ptr<const LeafResidualIndex> table,
+    const OptimalOptions& options = {});
 
 /// Why OptimalRecompress declined to patch and the caller must fall back
 /// to the full DP.
@@ -145,7 +172,7 @@ const char* RecompressFallbackName(RecompressFallback fallback);
 
 /// Incrementally re-solves a previous OptimalSingleTree run after `polys`
 /// grew by `delta` (appends only). Re-derives only what the delta touched:
-/// appended polynomials are folded into the retained residual index, the
+/// appended polynomials are folded into a copy of the retained loss table, the
 /// DP arrays along dirty leaf→root paths are recomputed, and the root is
 /// re-queried at the new k — every untouched array is reused as-is, so the
 /// result is field-identical to a full re-run by construction.
@@ -160,13 +187,14 @@ StatusOr<CompressionResult> OptimalRecompress(
 
 namespace internal {
 
-/// The root DP array of Algorithm 1 run without bucket clamping: every
-/// achievable monomial loss paired with its minimal variable loss, sorted
-/// by monomial loss. Exposed for OptimalTradeoffCurve, which derives the
-/// whole size/granularity Pareto frontier from one DP run.
+/// The root DP array of Algorithm 1 run without bucket clamping on
+/// `table` (a BuildLossTable result for these arguments): every achievable
+/// monomial loss paired with its minimal variable loss, sorted by monomial
+/// loss. Exposed for OptimalTradeoffCurve, which derives the whole
+/// size/granularity Pareto frontier from one DP run.
 StatusOr<std::vector<std::pair<uint32_t, uint64_t>>> RootLossProfile(
     const PolynomialSet& polys, const AbstractionForest& forest,
-    uint32_t tree_index);
+    uint32_t tree_index, const LeafResidualIndex& table);
 
 }  // namespace internal
 

@@ -9,7 +9,15 @@ namespace provabs {
 StatusOr<std::vector<TradeoffPoint>> OptimalTradeoffCurve(
     const PolynomialSet& polys, const AbstractionForest& forest,
     uint32_t tree_index) {
-  auto profile = internal::RootLossProfile(polys, forest, tree_index);
+  auto table = BuildLossTable(polys, forest, tree_index);
+  if (!table.ok()) return table.status();
+  return OptimalTradeoffCurve(polys, forest, tree_index, **table);
+}
+
+StatusOr<std::vector<TradeoffPoint>> OptimalTradeoffCurve(
+    const PolynomialSet& polys, const AbstractionForest& forest,
+    uint32_t tree_index, const LeafResidualIndex& table) {
+  auto profile = internal::RootLossProfile(polys, forest, tree_index, table);
   if (!profile.ok()) return profile.status();
 
   const size_t size_m = polys.SizeM();

@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "abstraction/abstraction_forest.h"
+#include "abstraction/loss.h"
 #include "common/statusor.h"
 #include "core/polynomial_set.h"
 
@@ -33,6 +34,13 @@ struct TradeoffPoint {
 StatusOr<std::vector<TradeoffPoint>> OptimalTradeoffCurve(
     const PolynomialSet& polys, const AbstractionForest& forest,
     uint32_t tree_index);
+
+/// The same curve from `table`, a BuildLossTable result for these
+/// arguments (algo/optimal_single_tree.h), so a caller that already holds
+/// the tree's loss table skips rebuilding it.
+StatusOr<std::vector<TradeoffPoint>> OptimalTradeoffCurve(
+    const PolynomialSet& polys, const AbstractionForest& forest,
+    uint32_t tree_index, const LeafResidualIndex& table);
 
 }  // namespace provabs
 

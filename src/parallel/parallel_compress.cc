@@ -12,19 +12,6 @@
 
 namespace provabs {
 
-std::vector<LossReport> ParallelNodeLosses(const PolynomialSet& polys,
-                                           const AbstractionTree& tree,
-                                           ThreadPool& pool) {
-  // The index build is one sequential pass (cheap); per-node loss queries
-  // dominate and parallelize trivially.
-  LeafResidualIndex index(polys, tree);
-  std::vector<LossReport> losses(tree.node_count());
-  pool.ParallelFor(tree.node_count(), [&](size_t v) {
-    losses[v] = index.NodeLoss(static_cast<NodeIndex>(v));
-  });
-  return losses;
-}
-
 StatusOr<CompressionResult> ParallelBruteForce(
     const PolynomialSet& polys, const AbstractionForest& forest,
     size_t bound_b, ThreadPool& pool, const BruteForceOptions& options) {

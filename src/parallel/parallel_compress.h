@@ -23,13 +23,6 @@ namespace provabs {
 /// each function is bit-identical to its serial counterpart (asserted by
 /// tests).
 
-/// Per-node singleton-cut losses for one tree, computed in parallel over
-/// nodes (each NodeLoss reads the shared residual index independently).
-/// result[v] = loss of the VVS {v} ∪ other-leaves.
-std::vector<LossReport> ParallelNodeLosses(const PolynomialSet& polys,
-                                           const AbstractionTree& tree,
-                                           ThreadPool& pool);
-
 /// Exhaustive search with the cut space partitioned across the pool.
 /// Results match BruteForce exactly (same optimal variable loss; the
 /// witness cut may differ among ties).

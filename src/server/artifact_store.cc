@@ -42,29 +42,38 @@ size_t ApproxArtifactBytes(const Artifact& artifact) {
   return bytes;
 }
 
-/// Rough resident size of retained DP tables, so patchable entries are
-/// charged for the state they keep alive (it can rival the compressed set).
-size_t ApproxDpStateBytes(const internal::RetainedDpState& state) {
+/// Creates the (empty) loss-table cells of every forest tree.
+void AddLossTableCells(Artifact& artifact) {
+  for (const auto& [name, forest] : artifact.forests) {
+    auto& cells = artifact.loss_tables[name];
+    for (uint32_t t = 0; t < forest.tree_count(); ++t) {
+      cells.push_back(std::make_unique<Artifact::LossTableCell>());
+    }
+  }
+}
+
+}  // namespace
+
+size_t ApproxDpStateBytes(const internal::RetainedDpState& state,
+                          bool owns_table) {
   size_t bytes = sizeof(internal::RetainedDpState);
   bytes += state.leaf_labels.size() * sizeof(VariableId);
-  bytes += state.index.TotalKeys() * 12;  // CSR keys + offsets share
+  if (owns_table) bytes += state.index->ApproxBytes();
   // Per-node arrays are shared across patched generations; charging each
   // entry the full size over-counts aliased tables, which errs toward
   // evicting sooner — acceptable for a rough budget.
   for (const auto& a : state.arrays) {
-    bytes += 64 + a->vl.size() * 48;  // two hash maps' nodes
+    if (a == nullptr) continue;
+    bytes += 64 + a->entries.capacity() * sizeof(internal::DpEntry);
   }
   for (const auto& p : state.prefixes) {
     if (p == nullptr) continue;
     bytes += 32;
     for (const auto& prefix : *p) bytes += 24 + prefix.size() * 16;
   }
-  bytes += state.self_loss.size() * sizeof(LossReport);
   bytes += state.chosen.size() * sizeof(NodeIndex);
   return bytes;
 }
-
-}  // namespace
 
 ArtifactStore::ArtifactStore(size_t byte_budget, size_t shards)
     : byte_budget_(byte_budget),
@@ -153,6 +162,7 @@ StatusOr<std::shared_ptr<const Artifact>> ArtifactStore::Load(
     artifact->forests.emplace(forest_name, std::move(*forest));
   }
   artifact->forest_bytes = std::move(forest_bytes);
+  AddLossTableCells(*artifact);
   artifact->approx_bytes = ApproxArtifactBytes(*artifact);
   artifact->generation =
       next_generation_.fetch_add(1, std::memory_order_relaxed);
@@ -202,6 +212,7 @@ StatusOr<std::shared_ptr<const Artifact>> ArtifactStore::Append(
     artifact->forests.emplace(forest_name, std::move(*forest));
   }
   artifact->forest_bytes = existing->forest_bytes;
+  AddLossTableCells(*artifact);
   // Re-serialize the combined set so forest-only Loads (which rebuild from
   // raw bytes) keep working on top of appended artifacts.
   artifact->polys_bytes =
@@ -272,7 +283,8 @@ ArtifactStore::InsertResultSlot(const std::string& slot_key,
   Slot slot;
   slot.bytes = sizeof(CompressedResult) + shared->vvs_names.size();
   if (shared->algo_result.dp_state != nullptr) {
-    slot.bytes += ApproxDpStateBytes(*shared->algo_result.dp_state);
+    slot.bytes += ApproxDpStateBytes(*shared->algo_result.dp_state,
+                                     shared->delta_patched);
   }
   slot.result = shared;
   Shard& shard = ShardFor(slot_key);
@@ -298,20 +310,47 @@ std::shared_ptr<const PolynomialSet> ArtifactStore::CompressedView(
     PROVABS_CHECK(forest != nullptr);
     auto view = std::make_shared<const PolynomialSet>(
         result->algo_result.Apply(*forest, artifact.polys));
-    ChargeResultSlot(ResultSlotKey(key), result.get(),
-                     ApproxPolynomialSetBytes(*view));
+    ChargeSlot(ResultSlotKey(key), result.get(),
+               ApproxPolynomialSetBytes(*view));
     cell.view = std::move(view);
   }
   return std::shared_ptr<const PolynomialSet>(result, cell.view.get());
 }
 
-void ArtifactStore::ChargeResultSlot(const std::string& slot_key,
-                                     const CompressedResult* result,
-                                     size_t bytes) {
+StatusOr<std::shared_ptr<const LeafResidualIndex>> ArtifactStore::LossTable(
+    const std::string& name, const Artifact& artifact,
+    const std::string& forest, uint32_t tree_index,
+    const std::function<void()>& on_build) {
+  auto cells = artifact.loss_tables.find(forest);
+  if (cells == artifact.loss_tables.end()) {
+    return Status::NotFound("artifact '" + name + "' has no forest '" +
+                            forest + "'");
+  }
+  if (tree_index >= cells->second.size()) {
+    return Status::InvalidArgument("tree index out of range");
+  }
+  Artifact::LossTableCell& cell = *cells->second[tree_index];
+  std::lock_guard<std::mutex> lock(cell.mutex);
+  if (cell.table == nullptr) {
+    if (on_build) on_build();
+    auto table = BuildLossTable(artifact.polys, artifact.forests.at(forest),
+                                tree_index);
+    if (!table.ok()) return table.status();
+    ChargeSlot(ArtifactSlotKey(name), &artifact, (*table)->ApproxBytes());
+    cell.table = std::move(*table);
+  }
+  return cell.table;
+}
+
+void ArtifactStore::ChargeSlot(const std::string& slot_key, const void* owner,
+                               size_t bytes) {
   Shard& shard = ShardFor(slot_key);
   std::lock_guard<std::mutex> lock(shard.mutex);
   auto it = shard.slots.find(slot_key);
-  if (it == shard.slots.end() || it->second.result.get() != result) return;
+  if (it == shard.slots.end() || (it->second.result.get() != owner &&
+                                  it->second.artifact.get() != owner)) {
+    return;
+  }
   it->second.bytes += bytes;
   shard.used_bytes += bytes;
   used_bytes_total_.fetch_add(bytes, std::memory_order_relaxed);

@@ -31,7 +31,8 @@ namespace provabs {
 /// later forest-only load can rebuild the bundle into a fresh table.
 ///
 /// Artifacts are exposed as `shared_ptr<const Artifact>`: once handed out
-/// they are never mutated, so concurrent request threads may read them
+/// they are never mutated (except that each loss-table cell is filled
+/// once, under its own lock), so concurrent request threads may read them
 /// without locks, and LRU eviction cannot invalidate an in-flight request.
 /// `polys` carries its compiled CSR evaluation form (warmed at load by the
 /// byte estimator below), so evaluate requests go straight to flat-array
@@ -68,6 +69,18 @@ struct Artifact {
     auto it = forests.find(name);
     return it == forests.end() ? nullptr : &it->second;
   }
+
+  /// The opt DP's loss table (LeafResidualIndex) of one forest tree over
+  /// `polys`, built on first use by ArtifactStore::LossTable under `mutex`
+  /// (held across the build, so concurrent first users wait for one).
+  struct LossTableCell {
+    std::mutex mutex;
+    std::shared_ptr<const LeafResidualIndex> table;  // guarded by mutex
+  };
+  /// One cell per tree of each forest, keyed like `forests`. Created with
+  /// the artifact, so the map itself is immutable once published.
+  std::map<std::string, std::vector<std::unique_ptr<LossTableCell>>>
+      loss_tables;
 };
 
 /// Rough resident-size estimate of a deserialized polynomial set, used for
@@ -81,6 +94,15 @@ struct Artifact {
 /// form lives inside the set, so generation bumps and LRU eviction
 /// invalidate it together with the entry whose budget it was charged to.
 size_t ApproxPolynomialSetBytes(const PolynomialSet& polys);
+
+/// Rough resident size of an opt result's retained DP tables (node arrays
+/// and convolution prefixes), so patchable cache entries are charged for
+/// the state they keep alive. The loss table counts only when `owns_table`:
+/// a full run reads its artifact's table, which is charged to the artifact
+/// once (ArtifactStore::LossTable), while a patched result holds its own
+/// appended copy.
+size_t ApproxDpStateBytes(const internal::RetainedDpState& state,
+                          bool owns_table);
 
 /// Byte-budgeted LRU cache over two kinds of entries: deserialized
 /// artifacts (keyed by name) and compression results (keyed by artifact
@@ -216,6 +238,21 @@ class ArtifactStore {
       const std::shared_ptr<const CompressedResult>& result,
       const Artifact& artifact);
 
+  /// The loss table of tree `tree_index` of forest `forest` in `artifact`,
+  /// which is (or was) loaded under `name`. Built from the artifact on
+  /// first use and kept for the artifact's lifetime, so every full opt DP
+  /// and trade-off curve on one generation reads one table: concurrent
+  /// first callers wait for one build, which runs `on_build` first. The
+  /// build charges the table's ApproxBytes to the artifact's slot,
+  /// evicting the shard down to its budget; nothing is charged when the
+  /// slot was evicted or replaced meanwhile. Fails with kNotFound for an
+  /// unknown forest and with BuildLossTable's status otherwise (a failed
+  /// build is not kept).
+  StatusOr<std::shared_ptr<const LeafResidualIndex>> LossTable(
+      const std::string& name, const Artifact& artifact,
+      const std::string& forest, uint32_t tree_index,
+      const std::function<void()>& on_build = nullptr);
+
   /// Produces the result to publish for an uncached key. Runs on the
   /// calling thread with no store or registry lock held.
   using ResultComputeFn = std::function<StatusOr<CompressedResult>()>;
@@ -338,10 +375,11 @@ class ArtifactStore {
   /// Installs/replaces a slot and evicts the shard down to its budget.
   /// Requires shard.mutex.
   void InsertSlot(Shard& shard, const std::string& slot_key, Slot slot);
-  /// Adds `bytes` to the slot at `slot_key` if it still holds `result`,
-  /// refreshes its recency and evicts the shard down to its budget.
-  void ChargeResultSlot(const std::string& slot_key,
-                        const CompressedResult* result, size_t bytes);
+  /// Adds `bytes` to the slot at `slot_key` if it still holds `owner` (its
+  /// artifact or result), refreshes its recency and evicts the shard down
+  /// to its budget.
+  void ChargeSlot(const std::string& slot_key, const void* owner,
+                  size_t bytes);
   /// Evicts the shard's LRU entries until within budget (keeping ≥1
   /// entry). Requires shard.mutex.
   void EvictToBudget(Shard& shard);

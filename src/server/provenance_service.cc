@@ -28,6 +28,7 @@ ProvenanceService::ProvenanceService(const ServiceOptions& options)
                 : static_cast<size_t>(std::thread::hardware_concurrency())),
       batcher_(pool_),
       compress_hook_(options.compress_hook),
+      loss_table_hook_(options.loss_table_hook),
       max_scenarios_per_request_(options.max_scenarios_per_request),
       scenario_chunk_(options.scenario_chunk != 0 ? options.scenario_chunk
                                                   : 1024),
@@ -114,6 +115,15 @@ Response ProvenanceService::Append(const AppendRequest& req) {
   return resp;
 }
 
+StatusOr<std::shared_ptr<const LeafResidualIndex>>
+ProvenanceService::LossTable(const std::string& name,
+                             const Artifact& artifact,
+                             const std::string& forest) {
+  return store_.LossTable(name, artifact, forest, /*tree_index=*/0, [&] {
+    if (loss_table_hook_) loss_table_hook_(artifact.generation);
+  });
+}
+
 StatusOr<ArtifactStore::CompressedResult>
 ProvenanceService::ComputeCompression(
     const std::shared_ptr<const Artifact>& artifact,
@@ -158,10 +168,21 @@ ProvenanceService::ComputeCompression(
   const bool patched = result.has_value();
   if (!patched) {
     if (compress_hook_) compress_hook_(key);
-    CompressOptions copts;
-    copts.bound = key.bound;
-    StatusOr<CompressionResult> full =
-        compressor.Compress(artifact->polys, forest, copts);
+    auto run = [&]() -> StatusOr<CompressionResult> {
+      if (compressor.info().name != "opt") {
+        CompressOptions copts;
+        copts.bound = key.bound;
+        return compressor.Compress(artifact->polys, forest, copts);
+      }
+      // The registry's opt adapter with default options, on the table every
+      // bound of this generation shares instead of a private rebuild.
+      auto table = LossTable(key.artifact, *artifact, key.forest);
+      if (!table.ok()) return table.status();
+      return OptimalSingleTree(artifact->polys, forest, /*tree_index=*/0,
+                               static_cast<size_t>(key.bound),
+                               std::move(*table));
+    };
+    StatusOr<CompressionResult> full = run();
     if (!full.ok()) return full.status();
     result = std::move(*full);
   }
@@ -541,7 +562,13 @@ Response ProvenanceService::Tradeoff(const TradeoffRequest& req) {
     AttachStats(resp);
     return resp;
   }
-  auto curve = OptimalTradeoffCurve(artifact->polys, *forest, 0);
+  auto table = LossTable(req.artifact, *artifact, req.forest);
+  if (!table.ok()) {
+    SetError(resp, table.status());
+    AttachStats(resp);
+    return resp;
+  }
+  auto curve = OptimalTradeoffCurve(artifact->polys, *forest, 0, **table);
   if (!curve.ok()) {
     SetError(resp, curve.status());
     AttachStats(resp);

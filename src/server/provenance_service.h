@@ -44,6 +44,10 @@ struct ServiceOptions {
   /// uses it to count DP executions and to hold leaders at a barrier;
   /// production leaves it empty.
   std::function<void(const ArtifactStore::ResultKey&)> compress_hook;
+  /// Test-only hook, invoked on the building thread at the start of every
+  /// loss-table build (ArtifactStore::LossTable) with the artifact's
+  /// generation. The concurrency battery counts builds with it.
+  std::function<void(uint64_t generation)> loss_table_hook;
 };
 
 /// The serving core: load / compress / tradeoff / evaluate over named
@@ -118,10 +122,17 @@ class ProvenanceService {
       const std::string& forest, const std::string& algo, uint64_t bound,
       Response& resp);
 
+  /// The loss table of tree 0 of `forest` in `artifact` (loaded as
+  /// `name`), built on first use; fires loss_table_hook_ when it builds.
+  StatusOr<std::shared_ptr<const LeafResidualIndex>> LossTable(
+      const std::string& name, const Artifact& artifact,
+      const std::string& forest);
+
   /// The compute function CompressInternal hands to GetOrCompute: tries
   /// the delta-patch path against cached ancestor generations first (sets
   /// `*patched` and bumps the delta counters), then falls back to the full
-  /// algorithm run (which is when compress_hook_ fires).
+  /// algorithm run (which is when compress_hook_ fires). A full "opt" run
+  /// reads the generation's shared loss table.
   StatusOr<ArtifactStore::CompressedResult> ComputeCompression(
       const std::shared_ptr<const Artifact>& artifact,
       const AbstractionForest& forest, const Compressor& compressor,
@@ -131,6 +142,7 @@ class ProvenanceService {
   ThreadPool pool_;
   EvaluateBatcher batcher_;
   std::function<void(const ArtifactStore::ResultKey&)> compress_hook_;
+  std::function<void(uint64_t)> loss_table_hook_;
   uint64_t max_scenarios_per_request_;
   uint64_t scenario_chunk_;
   uint64_t max_response_bytes_;

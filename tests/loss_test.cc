@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -12,31 +14,6 @@
 
 namespace provabs {
 namespace {
-
-/// Generates a random polynomial set over `tree_leaves` (one per monomial)
-/// crossed with `other_vars` (0..2 extra factors), so the tree is always
-/// compatible.
-PolynomialSet RandomCompatiblePolys(Rng& rng,
-                                    const std::vector<VariableId>& tree_leaves,
-                                    const std::vector<VariableId>& other_vars,
-                                    size_t num_polys, size_t monomials_each) {
-  PolynomialSet polys;
-  for (size_t p = 0; p < num_polys; ++p) {
-    std::vector<Monomial> terms;
-    for (size_t m = 0; m < monomials_each; ++m) {
-      std::vector<Factor> f;
-      if (!tree_leaves.empty() && rng.Bernoulli(0.9)) {
-        f.push_back({tree_leaves[rng.Uniform(tree_leaves.size())], 1});
-      }
-      if (!other_vars.empty() && rng.Bernoulli(0.8)) {
-        f.push_back({other_vars[rng.Uniform(other_vars.size())], 1});
-      }
-      terms.emplace_back(rng.UniformReal(0.5, 9.5), std::move(f));
-    }
-    polys.Add(Polynomial::FromMonomials(std::move(terms)));
-  }
-  return polys;
-}
 
 class LossTest : public ::testing::Test {
  protected:
@@ -166,45 +143,84 @@ TEST_F(LossTest, ResidualIndexHandlesInterleavedVariableIds) {
   EXPECT_EQ(index2.NodeLoss(tree.root()).monomial_loss, 0u);
 }
 
-// Property: for every internal node v of random trees over random
-// polynomials, the residual-index NodeLoss equals the loss of the naive
-// singleton-cut computation {v} ∪ other-leaves.
+// Property: for every node v of random trees over random polynomials, the
+// table's NodeLoss equals the loss of the naive singleton-cut computation
+// {v} ∪ other-leaves — after the build, and after each of several
+// AppendPolynomials calls, where the patched table must also equal a fresh
+// index over the grown set node for node. The instances cover:
+//   - unary chains (random fanouts in {1, 2, 3}) and uniform trees;
+//   - leaves absent from P (only part of the leaves is ever used);
+//   - one leaf carrying several residuals of one polynomial, including
+//     residuals that differ only in the tree variable's exponent, and
+//     residuals repeated at many leaves (the duplicates the loss counts);
+//   - interleaved variable ids (non-tree variables interned between the
+//     leaves, the TPC-H hashing case HashResidual guards against).
 class LossPropertyTest : public ::testing::TestWithParam<int> {};
 
-TEST_P(LossPropertyTest, ResidualIndexAgreesWithNaive) {
-  Rng rng(1000 + GetParam());
-  VariableTable vars;
-
-  // Intern the non-tree variables in the middle of the leaves so ids
-  // interleave (regression coverage for the residual-hash ordering bug).
-  std::vector<VariableId> leaves;
-  std::vector<VariableId> others;
-  const size_t num_leaves = 8 + rng.Uniform(12);
-  for (size_t i = 0; i < num_leaves; ++i) {
-    leaves.push_back(
-        vars.Intern("L" + std::to_string(GetParam()) + "_" +
-                    std::to_string(i)));
-    if (i == num_leaves / 2) {
-      others.push_back(vars.Intern("o1"));
-      others.push_back(vars.Intern("o2"));
+/// A random tree whose links have fanout 1 (a unary chain link), 2 or 3,
+/// over freshly interned leaves; `others` get interned between them.
+AbstractionTree RandomTreeWithUnaryChains(Rng& rng, VariableTable& vars,
+                                          const std::string& prefix,
+                                          std::vector<VariableId>* leaves,
+                                          std::vector<VariableId>* others) {
+  AbstractionTreeBuilder builder(vars);
+  int next_meta = 0;
+  std::function<void(NodeIndex, int)> grow = [&](NodeIndex node, int depth) {
+    if (depth >= 3 || (depth > 0 && rng.Bernoulli(0.3))) {
+      const size_t fanout = 1 + rng.Uniform(3);
+      for (size_t c = 0; c < fanout; ++c) {
+        std::string name = prefix + "x" + std::to_string(leaves->size());
+        leaves->push_back(vars.Intern(name));
+        builder.AddChild(node, name);
+        if (leaves->size() == 3) {
+          others->push_back(vars.Intern(prefix + "o1"));
+          others->push_back(vars.Intern(prefix + "o2"));
+        }
+      }
+      return;
     }
+    const size_t fanout = 1 + rng.Uniform(3);
+    for (size_t c = 0; c < fanout; ++c) {
+      grow(builder.AddChild(node, prefix + "M" + std::to_string(next_meta++)),
+           depth + 1);
+    }
+  };
+  grow(builder.AddRoot(prefix + "Root"), 0);
+  if (others->empty()) {
+    others->push_back(vars.Intern(prefix + "o1"));
+    others->push_back(vars.Intern(prefix + "o2"));
   }
+  return std::move(builder).Build();
+}
 
-  const std::vector<std::vector<uint32_t>> shapes = {{2}, {3}, {2, 2}, {2, 3}};
-  AbstractionForest forest;
-  forest.AddTree(BuildUniformTree(
-      vars, leaves, shapes[rng.Uniform(shapes.size())],
-      "T" + std::to_string(GetParam()) + "_"));
-  ASSERT_TRUE(forest.Validate().ok());
+/// One polynomial over a random subset of `used` leaves: a leaf gets
+/// several monomials (different rests, exponent 1 or 2), and a rest
+/// recurs across leaves.
+Polynomial RandomPolynomial(Rng& rng, const std::vector<VariableId>& used,
+                            const std::vector<VariableId>& others) {
+  std::vector<Monomial> terms;
+  const size_t n_terms = 4 + rng.Uniform(20);
+  for (size_t t = 0; t < n_terms; ++t) {
+    std::vector<Factor> f;
+    if (rng.Bernoulli(0.9)) {
+      f.push_back({used[rng.Uniform(used.size())],
+                   rng.Bernoulli(0.2) ? 2u : 1u});
+    }
+    for (VariableId o : others) {
+      if (rng.Bernoulli(0.4)) f.push_back({o, 1});
+    }
+    terms.emplace_back(rng.UniformReal(0.5, 9.5), std::move(f));
+  }
+  return Polynomial::FromMonomials(std::move(terms));
+}
 
-  PolynomialSet polys =
-      RandomCompatiblePolys(rng, leaves, others, 1 + rng.Uniform(4), 30);
-  ASSERT_TRUE(forest.CheckCompatible(polys).ok());
-
+void ExpectTableMatchesNaive(const LeafResidualIndex& index,
+                             const PolynomialSet& polys,
+                             const AbstractionForest& forest,
+                             const std::string& where) {
   const AbstractionTree& tree = forest.tree(0);
-  LeafResidualIndex index(polys, tree);
+  ASSERT_EQ(index.node_count(), tree.node_count());
   for (NodeIndex v = 0; v < tree.node_count(); ++v) {
-    if (tree.node(v).is_leaf()) continue;
     // Naive: cut = {v} plus every leaf outside v's subtree.
     ValidVariableSet vvs;
     vvs.Add(NodeRef{0, v});
@@ -216,8 +232,95 @@ TEST_P(LossPropertyTest, ResidualIndexAgreesWithNaive) {
     ASSERT_TRUE(vvs.Validate(forest).ok());
     LossReport naive = ComputeLossNaive(polys, forest, vvs);
     LossReport indexed = index.NodeLoss(v);
-    EXPECT_EQ(indexed.monomial_loss, naive.monomial_loss) << "node " << v;
-    EXPECT_EQ(indexed.variable_loss, naive.variable_loss) << "node " << v;
+    EXPECT_EQ(indexed.monomial_loss, naive.monomial_loss)
+        << where << ", node " << v;
+    EXPECT_EQ(indexed.variable_loss, naive.variable_loss)
+        << where << ", node " << v;
+  }
+}
+
+TEST_P(LossPropertyTest, ResidualIndexAgreesWithNaive) {
+  Rng rng(1000 + GetParam());
+  VariableTable vars;
+  const std::string prefix = "T" + std::to_string(GetParam()) + "_";
+
+  std::vector<VariableId> leaves;
+  std::vector<VariableId> others;
+  AbstractionForest forest;
+  if (GetParam() % 2 == 0) {
+    forest.AddTree(
+        RandomTreeWithUnaryChains(rng, vars, prefix, &leaves, &others));
+  } else {
+    const size_t num_leaves = 8 + rng.Uniform(12);
+    for (size_t i = 0; i < num_leaves; ++i) {
+      leaves.push_back(vars.Intern(prefix + "L" + std::to_string(i)));
+      if (i == num_leaves / 2) {
+        others.push_back(vars.Intern(prefix + "o1"));
+        others.push_back(vars.Intern(prefix + "o2"));
+      }
+    }
+    const std::vector<std::vector<uint32_t>> shapes = {
+        {2}, {3}, {2, 2}, {2, 3}};
+    forest.AddTree(BuildUniformTree(
+        vars, leaves, shapes[rng.Uniform(shapes.size())], prefix));
+  }
+  ASSERT_TRUE(forest.Validate().ok());
+  const AbstractionTree& tree = forest.tree(0);
+
+  // Roughly a quarter of the leaves never occur in P.
+  std::vector<VariableId> used;
+  for (VariableId leaf : leaves) {
+    if (rng.Bernoulli(0.75)) used.push_back(leaf);
+  }
+  if (used.empty()) used.push_back(leaves[0]);
+
+  PolynomialSet polys;
+  const size_t initial = 1 + rng.Uniform(4);
+  for (size_t p = 0; p < initial; ++p) {
+    polys.Add(RandomPolynomial(rng, used, others));
+  }
+  ASSERT_TRUE(forest.CheckCompatible(polys).ok());
+  LeafResidualIndex index(polys, tree);
+  ExpectTableMatchesNaive(index, polys, forest, "build");
+
+  // Appends: 1..4 batches of 1..3 polynomials. Later batches may reach
+  // leaves no earlier polynomial used, so leaves turn present mid-stream.
+  used = leaves;
+  const size_t batches = 1 + rng.Uniform(4);
+  for (size_t b = 0; b < batches; ++b) {
+    const size_t before = polys.count();
+    const size_t count = 1 + rng.Uniform(3);
+    for (size_t p = 0; p < count; ++p) {
+      polys.Add(RandomPolynomial(rng, used, others));
+    }
+    ASSERT_TRUE(forest.CheckCompatible(polys).ok());
+    std::vector<uint32_t> dirty = index.AppendPolynomials(polys, tree);
+    EXPECT_EQ(index.indexed_count(), polys.count());
+    // Dirty = exactly the leaf positions the appended polynomials touch.
+    std::vector<uint32_t> touched;
+    for (size_t pi = before; pi < polys.count(); ++pi) {
+      for (const Monomial& m : polys[pi].monomials()) {
+        for (const Factor& f : m.factors()) {
+          const NodeIndex leaf = tree.FindLabel(f.var);
+          if (leaf == kInvalidNode) continue;
+          touched.push_back(tree.node(leaf).leaf_begin);
+        }
+      }
+    }
+    std::sort(touched.begin(), touched.end());
+    touched.erase(std::unique(touched.begin(), touched.end()),
+                  touched.end());
+    EXPECT_EQ(dirty, touched) << "append " << b;
+
+    const std::string where = "after append " + std::to_string(b);
+    LeafResidualIndex fresh(polys, tree);
+    for (NodeIndex v = 0; v < tree.node_count(); ++v) {
+      EXPECT_EQ(index.NodeLoss(v), fresh.NodeLoss(v)) << where << ", node "
+                                                      << v;
+      EXPECT_EQ(index.PresentLeavesBelow(v), fresh.PresentLeavesBelow(v))
+          << where << ", node " << v;
+    }
+    ExpectTableMatchesNaive(index, polys, forest, where);
   }
 }
 

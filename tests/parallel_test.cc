@@ -152,18 +152,6 @@ class ParallelCompressTest : public ::testing::Test {
   PolynomialSet polys_;
 };
 
-TEST_F(ParallelCompressTest, NodeLossesMatchResidualIndex) {
-  ThreadPool pool(4);
-  const AbstractionTree& tree = forest_.tree(0);
-  std::vector<LossReport> parallel = ParallelNodeLosses(polys_, tree, pool);
-  LeafResidualIndex index(polys_, tree);
-  ASSERT_EQ(parallel.size(), tree.node_count());
-  for (NodeIndex v = 0; v < tree.node_count(); ++v) {
-    EXPECT_EQ(parallel[v].monomial_loss, index.NodeLoss(v).monomial_loss);
-    EXPECT_EQ(parallel[v].variable_loss, index.NodeLoss(v).variable_loss);
-  }
-}
-
 TEST_F(ParallelCompressTest, BruteForceMatchesSerial) {
   ThreadPool pool(4);
   for (size_t bound : {polys_.SizeM() - 1, polys_.SizeM() / 2,

@@ -17,6 +17,9 @@
 ///  - The first compressed Evaluates of a freshly compressed key, sent by 8
 ///    threads at once, build its view once: one compiled snapshot, one
 ///    byte charge, answers bitwise equal to a cold Apply.
+///  - Eight fresh bounds on a freshly loaded artifact build its opt loss
+///    table once (counted via the loss-table hook) and share it with the
+///    trade-off curve and the delta patch; a reload builds a new one.
 ///  - A 16-thread mixed load/compress/evaluate/invalidate stress with
 ///    generation bumps mid-flight (the EvaluateBatcher + ThreadPool
 ///    invalidation-race soak).
@@ -37,6 +40,8 @@
 #include <vector>
 
 #include "algo/compressor.h"
+#include "algo/optimal_single_tree.h"
+#include "algo/tradeoff_curve.h"
 #include "common/random.h"
 #include "core/compiled_polynomial_set.h"
 #include "core/evaluation_backend.h"
@@ -679,6 +684,141 @@ TEST(ServerConcurrencyDifferentialTest, FirstCompressedEvaluatesShareOneView) {
   EXPECT_EQ(*seen.begin(), view->Compiled()->fingerprint());
   EXPECT_EQ(service.store().stats().cached_bytes,
             bytes_before + ApproxPolynomialSetBytes(cold));
+}
+
+/// Eight fresh bounds sent at once on a freshly loaded artifact build its
+/// loss table once and share it: every answer equals a cold standalone
+/// OptimalSingleTree, a Tradeoff builds nothing, an Append and the patched
+/// Compress after it build nothing, and a reload builds a new table (here
+/// for a Tradeoff, which a later Compress then shares).
+TEST(ServerConcurrencyDifferentialTest, FreshBoundsShareOneLossTable) {
+  const RandomWorkload w = MakeRandomWorkload(/*seed=*/20261018);
+  std::atomic<int> builds{0};
+  std::atomic<uint64_t> built_generation{0};
+  std::atomic<int> full_runs{0};
+  ServiceOptions options;
+  options.eval_threads = 4;
+  options.loss_table_hook = [&](uint64_t generation) {
+    builds.fetch_add(1);
+    built_generation.store(generation);
+  };
+  options.compress_hook = [&](const ArtifactStore::ResultKey&) {
+    full_runs.fetch_add(1);
+  };
+  ProvenanceService service(options);
+  LoadRequest load;
+  load.artifact = "rnd";
+  load.polys_bytes = w.polys_bytes;
+  load.forests = w.forests;
+  ASSERT_TRUE(service.Load(load).ok());
+  std::shared_ptr<const Artifact> artifact = service.store().Get("rnd");
+  ASSERT_NE(artifact, nullptr);
+  const AbstractionForest& forest = *artifact->FindForest("f0");
+  auto request = [](uint64_t bound) {
+    CompressRequest req;
+    req.artifact = "rnd";
+    req.forest = "f0";
+    req.algo = "opt";
+    req.bound = bound;
+    return req;
+  };
+  // Field equality with a cold standalone run (its own table) on `polys`.
+  auto expect_cold = [](const Response& resp, const PolynomialSet& polys,
+                        const AbstractionForest& f, const VariableTable& vars,
+                        uint64_t bound) {
+    auto cold = OptimalSingleTree(polys, f, 0, bound);
+    ASSERT_TRUE(cold.ok()) << cold.status().ToString();
+    EXPECT_EQ(resp.monomial_loss, cold->loss.monomial_loss) << bound;
+    EXPECT_EQ(resp.variable_loss, cold->loss.variable_loss) << bound;
+    EXPECT_EQ(resp.adequate, cold->adequate) << bound;
+    EXPECT_EQ(resp.vvs, cold->Describe(f, vars)) << bound;
+    EXPECT_EQ(resp.compressed_monomials, cold->Apply(f, polys).SizeM())
+        << bound;
+  };
+
+  // Eight distinct feasible bounds, spread over the trade-off range.
+  auto curve = OptimalTradeoffCurve(artifact->polys, forest, 0);
+  ASSERT_TRUE(curve.ok()) << curve.status().ToString();
+  const uint64_t size_m = artifact->polys.SizeM();
+  const uint64_t min_size = curve->back().size_m;
+  constexpr int kThreads = 8;
+  std::vector<uint64_t> bounds;
+  for (int t = 0; t < kThreads; ++t) {
+    bounds.push_back(min_size + (size_m - min_size) * (t + 1) / kThreads);
+  }
+  ASSERT_EQ(std::set<uint64_t>(bounds.begin(), bounds.end()).size(),
+            static_cast<size_t>(kThreads));
+
+  std::vector<Response> responses(kThreads);
+  Barrier start(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      EXPECT_TRUE(start.ArriveAndWait());
+      responses[t] = service.Compress(request(bounds[t]));
+    });
+  }
+  for (auto& t : threads) t.join();
+  EXPECT_EQ(builds.load(), 1);
+  EXPECT_EQ(built_generation.load(), artifact->generation);
+  EXPECT_EQ(full_runs.load(), kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    ASSERT_TRUE(responses[t].ok()) << responses[t].message;
+    EXPECT_FALSE(responses[t].cache_hit);
+    EXPECT_FALSE(responses[t].dedup_hit);
+    expect_cold(responses[t], artifact->polys, forest, *artifact->vars,
+                bounds[t]);
+  }
+
+  // The trade-off curve reads the same table.
+  TradeoffRequest tradeoff;
+  tradeoff.artifact = "rnd";
+  tradeoff.forest = "f0";
+  Response points = service.Tradeoff(tradeoff);
+  ASSERT_TRUE(points.ok()) << points.message;
+  EXPECT_EQ(builds.load(), 1);
+  ASSERT_EQ(points.points.size(), curve->size());
+  for (size_t i = 0; i < curve->size(); ++i) {
+    EXPECT_EQ(points.points[i].size_m, (*curve)[i].size_m);
+    EXPECT_EQ(points.points[i].variable_loss, (*curve)[i].variable_loss);
+  }
+
+  // Append over a leaf the cut at the loosest bound keeps: the Compress
+  // after it is patched from the cached result, and neither builds.
+  const uint64_t patch_bound = bounds.back();
+  auto base = OptimalSingleTree(artifact->polys, forest, 0, patch_bound);
+  ASSERT_TRUE(base.ok());
+  VariableId kept = kInvalidVariable;
+  for (const NodeRef& ref : base->vvs.nodes()) {
+    const auto& node = forest.tree(ref.tree).node(ref.node);
+    if (ref.tree == 0 && node.is_leaf()) kept = node.label;
+  }
+  ASSERT_NE(kept, kInvalidVariable);
+  PolynomialSet extra;
+  extra.Add(Polynomial::FromMonomials({Monomial(2.5, {{kept, 1}})}));
+  AppendRequest append;
+  append.artifact = "rnd";
+  append.polys_bytes = SerializePolynomialSet(extra, *artifact->vars);
+  ASSERT_TRUE(service.Append(append).ok());
+  Response patched = service.Compress(request(patch_bound));
+  ASSERT_TRUE(patched.ok()) << patched.message;
+  EXPECT_TRUE(patched.delta_patched);
+  EXPECT_EQ(builds.load(), 1);
+  EXPECT_EQ(full_runs.load(), kThreads);
+  std::shared_ptr<const Artifact> grown = service.store().Get("rnd");
+  ASSERT_NE(grown, nullptr);
+  expect_cold(patched, grown->polys, *grown->FindForest("f0"), *grown->vars,
+              patch_bound);
+
+  // A reload is a new generation with a new table; here its first user is
+  // a Tradeoff, and the Compress after it builds nothing.
+  ASSERT_TRUE(service.Load(load).ok());
+  ASSERT_TRUE(service.Tradeoff(tradeoff).ok());
+  EXPECT_EQ(builds.load(), 2);
+  EXPECT_EQ(built_generation.load(), service.store().Get("rnd")->generation);
+  Response reloaded = service.Compress(request(bounds[0]));
+  ASSERT_TRUE(reloaded.ok()) << reloaded.message;
+  EXPECT_EQ(builds.load(), 2);
 }
 
 // ------------------------------------------------- mixed-load stress ----

@@ -12,6 +12,7 @@
 #include "abstraction/abstraction_forest.h"
 #include "algo/compressor.h"
 #include "algo/optimal_single_tree.h"
+#include "algo/tradeoff_curve.h"
 #include "core/evaluation_backend.h"
 #include "core/valuation.h"
 #include "io/serializer.h"
@@ -262,6 +263,124 @@ TEST_F(StoreTest, CompressedViewIsChargedWhenFirstBuilt) {
   EXPECT_EQ(tight.Get("ex"), nullptr);
   EXPECT_EQ(tight.LookupResult(key), tight_result);
   EXPECT_LE(tight.stats().cached_bytes, compressed_bytes + view_bytes - 1);
+}
+
+/// Runs "opt" on the artifact's shared loss table and caches the result
+/// under `key`, the way ProvenanceService fills an opt Compress miss.
+std::shared_ptr<const ArtifactStore::CompressedResult> InsertTableResult(
+    ArtifactStore& store, const ArtifactStore::ResultKey& key,
+    const Artifact& artifact,
+    const std::shared_ptr<const LeafResidualIndex>& table) {
+  auto run = OptimalSingleTree(artifact.polys, *artifact.FindForest(key.forest),
+                               0, key.bound, table);
+  EXPECT_TRUE(run.ok()) << run.status().ToString();
+  ArtifactStore::CompressedResult result;
+  result.loss = run->loss;
+  result.adequate = run->adequate;
+  result.algo_result = std::move(*run);
+  return store.InsertResult(key, std::move(result));
+}
+
+TEST_F(StoreTest, LossTableIsChargedOnceToItsArtifact) {
+  // Sizes are deterministic, so a first store measures them and a second,
+  // tightly budgeted one checks eviction and release.
+  uint64_t artifact_bytes = 0;
+  uint64_t table_bytes = 0;
+  uint64_t max_result_bytes = 0;
+  std::vector<uint64_t> bounds;
+  {
+    ArtifactStore store(64 << 20, /*shards=*/1);
+    auto loaded = store.Load("ex", polys_bytes_, {{"plans", plans_bytes_}});
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    const Artifact& artifact = **loaded;
+    artifact_bytes = store.stats().cached_bytes;
+    int builds = 0;
+    auto table = store.LossTable("ex", artifact, "plans", 0, [&] { ++builds; });
+    ASSERT_TRUE(table.ok()) << table.status().ToString();
+    EXPECT_EQ(builds, 1);
+    table_bytes = (*table)->ApproxBytes();
+    EXPECT_EQ(store.stats().cached_bytes, artifact_bytes + table_bytes);
+
+    // N results at distinct bounds all read the one table: each is
+    // charged its arrays and prefixes, and the table is never charged
+    // again.
+    auto curve = OptimalTradeoffCurve(
+        artifact.polys, *artifact.FindForest("plans"), 0, **table);
+    ASSERT_TRUE(curve.ok());
+    for (const TradeoffPoint& point : *curve) bounds.push_back(point.size_m);
+    ASSERT_GE(bounds.size(), 3u);
+    uint64_t expected = artifact_bytes + table_bytes;
+    for (uint64_t bound : bounds) {
+      auto again = store.LossTable("ex", artifact, "plans", 0,
+                                   [&] { ++builds; });
+      ASSERT_TRUE(again.ok());
+      EXPECT_EQ(*again, *table);
+      ArtifactStore::ResultKey key{"ex", artifact.generation, "plans", bound,
+                                   "opt"};
+      auto result = InsertTableResult(store, key, artifact, *again);
+      ASSERT_NE(result, nullptr);
+      const internal::RetainedDpState& state =
+          *result->algo_result.dp_state;
+      EXPECT_EQ(state.index, *table);  // Shared, not copied.
+      EXPECT_EQ(ApproxDpStateBytes(state, /*owns_table=*/true) -
+                    ApproxDpStateBytes(state, /*owns_table=*/false),
+                table_bytes);
+      const uint64_t result_bytes =
+          sizeof(ArtifactStore::CompressedResult) +
+          result->vvs_names.size() +
+          ApproxDpStateBytes(state, /*owns_table=*/false);
+      max_result_bytes = std::max(max_result_bytes, result_bytes);
+      expected += result_bytes;
+      EXPECT_EQ(store.stats().cached_bytes, expected) << "bound " << bound;
+    }
+    EXPECT_EQ(builds, 1);
+  }
+
+  // Room for the artifact, its table and one result: each insert evicts
+  // the previous result, an empty filler evicts the last, the table stays
+  // charged to the artifact throughout, and a reload releases both.
+  const uint64_t filler_bytes = sizeof(ArtifactStore::CompressedResult);
+  ArtifactStore store(artifact_bytes + table_bytes + max_result_bytes,
+                      /*shards=*/1);
+  auto loaded = store.Load("ex", polys_bytes_, {{"plans", plans_bytes_}});
+  ASSERT_TRUE(loaded.ok());
+  const Artifact& artifact = **loaded;
+  int builds = 0;
+  auto table = store.LossTable("ex", artifact, "plans", 0, [&] { ++builds; });
+  ASSERT_TRUE(table.ok());
+  for (uint64_t bound : bounds) {
+    ASSERT_NE(store.Get("ex"), nullptr);  // Keeps the artifact recent.
+    InsertTableResult(store,
+                      {"ex", artifact.generation, "plans", bound, "opt"},
+                      artifact, *table);
+  }
+  EXPECT_EQ(store.stats().result_count, 1u);
+  EXPECT_EQ(store.stats().evictions, bounds.size() - 1);
+  ASSERT_NE(store.Get("ex"), nullptr);
+  store.InsertResult({"ex", artifact.generation, "plans", 0, "filler"},
+                     ArtifactStore::CompressedResult{});
+  EXPECT_EQ(store.stats().result_count, 1u);
+  EXPECT_EQ(store.stats().cached_bytes,
+            artifact_bytes + table_bytes + filler_bytes);
+  auto kept = store.LossTable("ex", artifact, "plans", 0, [&] { ++builds; });
+  ASSERT_TRUE(kept.ok());
+  EXPECT_EQ(*kept, *table);
+  EXPECT_EQ(builds, 1);
+
+  auto reloaded = store.Load("ex", polys_bytes_, {{"plans", plans_bytes_}});
+  ASSERT_TRUE(reloaded.ok());
+  EXPECT_EQ(store.stats().cached_bytes, artifact_bytes + filler_bytes);
+  auto rebuilt = store.LossTable("ex", **reloaded, "plans", 0,
+                                 [&] { ++builds; });
+  ASSERT_TRUE(rebuilt.ok());
+  EXPECT_EQ(builds, 2);
+  EXPECT_NE(*rebuilt, *table);
+
+  // Unknown forests and trees are structured errors, not builds.
+  EXPECT_EQ(store.LossTable("ex", **reloaded, "nope", 0).status().code(),
+            StatusCode::kNotFound);
+  EXPECT_EQ(store.LossTable("ex", **reloaded, "plans", 1).status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST_F(StoreTest, BudgetSmallerThanOneArtifactStillServesIt) {
