@@ -14,6 +14,197 @@
 namespace provabs {
 namespace {
 
+// ------------------------------------------------------ all message kinds --
+
+/// One fully populated message of one kind: every field differs from its
+/// default, counts and numbers span multi-byte varints, and every flag bit
+/// is exercised.
+struct WireCase {
+  const char* kind;
+  std::string encoded;
+  /// Decodes a payload as this kind and, on success, encodes the result.
+  std::function<StatusOr<std::string>(std::string_view)> reencode;
+};
+
+template <class M>
+WireCase MakeCase(const char* kind, const M& msg,
+                  std::string (*encode)(const M&),
+                  StatusOr<M> (*decode)(std::string_view)) {
+  return {kind, encode(msg),
+          [encode, decode](std::string_view payload) -> StatusOr<std::string> {
+            StatusOr<M> decoded = decode(payload);
+            if (!decoded.ok()) return decoded.status();
+            return encode(*decoded);
+          }};
+}
+
+/// Every message kind of the protocol, in MessageKind order.
+std::vector<WireCase> AllKinds() {
+  LoadRequest load;
+  load.artifact = "telephony";
+  load.polys_bytes = std::string("\x00\x01poly\xFF", 7);
+  load.forests = {{"plans", "tree-bytes"}, {"months", ""}};
+
+  CompressRequest compress{"telephony", "plans", "greedy", 300};
+
+  EvaluateRequest evaluate;
+  evaluate.artifact = "telephony";
+  evaluate.assignments = {{"m1", 0.5}, {"plan7", -2.25}};
+  evaluate.compressed = true;
+  evaluate.forest = "plans";
+  evaluate.algo = "brute";
+  evaluate.bound = 1500;
+  evaluate.eval_backend = "simd_batch";
+
+  EvaluateScenarioProgramRequest scenario;
+  scenario.artifact = "telephony";
+  scenario.program = "LET d = GRID(0.5, 1); SET PREFIX(plan) = d;";
+  scenario.compressed = true;
+  scenario.forest = "plans";
+  scenario.algo = "greedy";
+  scenario.bound = 4096;
+  scenario.eval_backend = "jit";
+  scenario.shape = ScenarioShape::kTopK;
+  scenario.top_k = 130;
+
+  AppendRequest append{"telephony", std::string("\x00\x02more\xFE", 7)};
+
+  Response resp;
+  resp.request_kind = MessageKind::kEvaluateScenarioProgramRequest;
+  resp.code = StatusCode::kUnavailable;
+  resp.message = "retry later";
+  uint64_t next = 1;
+  for (uint64_t* stat :
+       {&resp.stats.artifact_count, &resp.stats.result_count,
+        &resp.stats.cached_bytes, &resp.stats.byte_budget,
+        &resp.stats.result_hits, &resp.stats.result_misses,
+        &resp.stats.evictions, &resp.stats.eval_batches,
+        &resp.stats.eval_requests, &resp.stats.dedup_hits,
+        &resp.stats.inflight_waiters, &resp.stats.eval_groups,
+        &resp.stats.eval_backend_calls, &resp.stats.program_count,
+        &resp.stats.program_hits, &resp.stats.program_misses,
+        &resp.stats.active_connections, &resp.stats.rejected_connections,
+        &resp.stats.idle_reaped, &resp.stats.loop_wakeups,
+        &resp.stats.delta_patched, &resp.stats.delta_fallback_full}) {
+    *stat = next;
+    next = next * 7 + 1;  // 1, 8, 57, 400, ... up to multi-byte varints.
+  }
+  resp.generation = 12;
+  resp.poly_count = 89;
+  resp.monomial_count = 153000;
+  resp.variable_count = 111;
+  resp.cache_hit = true;
+  resp.dedup_hit = true;
+  resp.delta_patched = true;
+  resp.monomial_loss = 1332;
+  resp.variable_loss = 98;
+  resp.adequate = true;
+  resp.vvs = "{T_root}";
+  resp.compressed_monomials = 1068;
+  resp.values = {1.5, -2.5, 0.0};
+  resp.eval_backend = "compiled,simd_batch";
+  resp.points = {{2400, 0}, {1068, 98}};
+  resp.algos = {{"opt", "optimal DP", true, true, true, true, true},
+                {"anneal", "annealing", false, false, false, true, false}};
+  resp.backends = {{"compiled", "CSR walk", false, true, 1},
+                   {"simd_batch", "SoA lanes", true, true, 200}};
+  resp.scenario_count = 1000;
+  resp.program_cache_hit = true;
+  resp.scenario_indices = {999, 0, 421};
+  resp.objectives = {87.5, -1.25, 0.0};
+
+  std::vector<WireCase> cases;
+  cases.push_back(
+      MakeCase("LoadRequest", load, EncodeLoadRequest, DecodeLoadRequest));
+  cases.push_back(MakeCase("CompressRequest", compress, EncodeCompressRequest,
+                           DecodeCompressRequest));
+  cases.push_back(MakeCase("EvaluateRequest", evaluate, EncodeEvaluateRequest,
+                           DecodeEvaluateRequest));
+  cases.push_back(MakeCase("InfoRequest", InfoRequest{"telephony"},
+                           EncodeInfoRequest, DecodeInfoRequest));
+  cases.push_back(MakeCase("TradeoffRequest",
+                           TradeoffRequest{"telephony", "plans"},
+                           EncodeTradeoffRequest, DecodeTradeoffRequest));
+  cases.push_back(MakeCase("ShutdownRequest", ShutdownRequest{},
+                           EncodeShutdownRequest, DecodeShutdownRequest));
+  cases.push_back(MakeCase("ListAlgosRequest", ListAlgosRequest{},
+                           EncodeListAlgosRequest, DecodeListAlgosRequest));
+  cases.push_back(MakeCase("ListBackendsRequest", ListBackendsRequest{},
+                           EncodeListBackendsRequest,
+                           DecodeListBackendsRequest));
+  cases.push_back(MakeCase("EvaluateScenarioProgramRequest", scenario,
+                           EncodeEvaluateScenarioProgramRequest,
+                           DecodeEvaluateScenarioProgramRequest));
+  cases.push_back(MakeCase("AppendRequest", append, EncodeAppendRequest,
+                           DecodeAppendRequest));
+  cases.push_back(
+      MakeCase("Response", resp, EncodeResponse, DecodeResponse));
+  return cases;
+}
+
+std::string Hex(std::string_view bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (char c : bytes) {
+    out += kDigits[static_cast<uint8_t>(c) >> 4];
+    out += kDigits[static_cast<uint8_t>(c) & 0xF];
+  }
+  return out;
+}
+
+/// The wire-v7 encoding of every AllKinds() message. A layout change must
+/// bump kWireVersion and update these bytes in the same change.
+TEST(WireProtocolTest, GoldenBytesAllKinds) {
+  const std::vector<std::string> golden = {
+      // LoadRequest
+      "5056414207100974656c6570686f6e79070001706f6c79ff0205706c616e730a"
+      "747265652d6279746573066d6f6e74687300",
+      // CompressRequest
+      "5056414207110974656c6570686f6e7905706c616e7306677265656479ac02",
+      // EvaluateRequest
+      "5056414207120974656c6570686f6e7902026d31000000000000e03f05706c61"
+      "6e3700000000000002c00105706c616e73056272757465dc0b0a73696d645f62"
+      "61746368",
+      // InfoRequest
+      "5056414207130974656c6570686f6e79",
+      // TradeoffRequest
+      "5056414207140974656c6570686f6e7905706c616e73",
+      // ShutdownRequest
+      "505641420715",
+      // ListAlgosRequest
+      "505641420716",
+      // ListBackendsRequest
+      "505641420717",
+      // EvaluateScenarioProgramRequest
+      "5056414207180974656c6570686f6e792b4c45542064203d204752494428302e"
+      "352c2031293b205345542050524546495828706c616e29203d20643b0105706c"
+      "616e73066772656564798020036a6974038201",
+      // AppendRequest
+      "5056414207190974656c6570686f6e790700026d6f7265fe",
+      // Response
+      "50564142072018090b7265747279206c617465720108399003f115989901a9b0"
+      "08a0d23ae1bf9a03a8beb91699b4929d01b0ed80cc08d1fd85943cb8efa98ca5"
+      "03898ca5d68317c0d483dc99a101c1cf9984b4e808c8acb39decda3df9b7e7cd"
+      "f5fbaf03d087d4a0b7e3cf17b1b5cce482b8aea501d8f596c09388c585090c59"
+      "a8ab096f010101b40a6201087b545f726f6f747dac0803000000000000f83f00"
+      "000000000004c0000000000000000002e01200ac086202036f70740a6f707469"
+      "6d616c2044501f06616e6e65616c09616e6e65616c696e670813636f6d70696c"
+      "65642c73696d645f62617463680208636f6d70696c6564084353522077616c6b"
+      "02010a73696d645f626174636809536f41206c616e657303c801e8070103e707"
+      "00a503030000000000e05540000000000000f4bf0000000000000000",
+  };
+  ASSERT_EQ(kWireVersion, 7);
+  const std::vector<WireCase> cases = AllKinds();
+  ASSERT_EQ(cases.size(), golden.size());
+  for (size_t c = 0; c < cases.size(); ++c) {
+    EXPECT_EQ(Hex(cases[c].encoded), golden[c]) << cases[c].kind;
+    StatusOr<std::string> reencoded = cases[c].reencode(cases[c].encoded);
+    ASSERT_TRUE(reencoded.ok()) << cases[c].kind << ": "
+                                << reencoded.status().ToString();
+    EXPECT_EQ(*reencoded, cases[c].encoded) << cases[c].kind;
+  }
+}
+
 // ----------------------------------------------------------- round trips --
 
 TEST(WireProtocolTest, LoadRequestRoundTrip) {
