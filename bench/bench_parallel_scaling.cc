@@ -45,7 +45,9 @@ void Run(const std::vector<std::string>& algos) {
     for (size_t threads : {1u, 2u, 4u, 8u}) {
       ThreadPool pool(threads);
       Timer t;
-      auto parallel = ParallelCompress(w.polys, forest, algo, options, pool);
+      auto parallel = algo == "brute"
+                          ? ParallelBruteForce(w.polys, forest, bound, pool)
+                          : compressor->Compress(w.polys, forest, options);
       (void)parallel;
       std::printf("%-24s %10zu %12.4f\n", algo.c_str(), threads,
                   t.ElapsedSeconds());

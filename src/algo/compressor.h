@@ -34,11 +34,6 @@ struct CompressOptions {
   /// Tree index for single-tree algorithms ("opt"); multi-tree algorithms
   /// ignore it.
   uint32_t root = 0;
-  /// Seed for randomized strategies. All four built-ins are deterministic
-  /// and ignore it; the field exists so a future sampling-based compressor
-  /// slots in without an API change (the serving cache key would then need
-  /// to include it — see docs/SERVER.md).
-  uint64_t seed = 0;
   /// Wall-clock budget in milliseconds; 0 = unlimited. Every built-in
   /// honors it, each at its natural check granularity: "brute" per cut,
   /// "prox" per oracle-call batch, "opt" per DP node, "greedy" per merge

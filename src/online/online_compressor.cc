@@ -83,7 +83,6 @@ StatusOr<OnlineResult> CompressOnline(const Database& db,
   }
   CompressOptions copts;
   copts.bound = result.adapted_bound;
-  copts.seed = options.seed;
   copts.time_budget_ms = options.time_budget_ms;
   auto chosen = (*compressor)->Compress(decision_sample, forest, copts);
   if (chosen.ok()) {
@@ -177,7 +176,6 @@ Status AppendOnline(const AbstractionForest& forest,
     if (!compressor.ok()) return compressor.status();
     CompressOptions copts;
     copts.bound = result->adapted_bound;
-    copts.seed = options.seed;
     copts.time_budget_ms = options.time_budget_ms;
     auto full =
         (*compressor)->Compress(result->decision_sample, forest, copts);

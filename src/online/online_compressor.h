@@ -116,7 +116,7 @@ struct OnlineAppendInfo {
 /// materializes the exact originals to regroup).
 ///
 /// `options` should be the ones the original CompressOnline ran with (they
-/// select the fallback algorithm and seed). The pipeline's adapted bound
+/// select the fallback algorithm). The pipeline's adapted bound
 /// stays in force so the retained DP tables remain reusable; `met_bound`
 /// is re-judged against `bound_full`. Grouping abstractions (e.g. "prox")
 /// cannot be patched and are rejected with kInvalidArgument — re-run

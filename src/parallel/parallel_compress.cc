@@ -143,63 +143,4 @@ std::vector<double> ParallelEvaluateAll(const Valuation& valuation,
   return out;
 }
 
-StatusOr<std::vector<std::vector<double>>> ParallelEvaluateScenarios(
-    const std::vector<Valuation>& scenarios, const PolynomialSet& polys,
-    ThreadPool& pool, const std::string& backend_name) {
-  std::shared_ptr<const CompiledPolynomialSet> compiled = polys.Compiled();
-  StatusOr<BackendRoute> route = EvaluationBackendRegistry::Default().Route(
-      backend_name, *compiled, scenarios.size());
-  if (!route.ok()) return route.status();
-
-  const size_t n = scenarios.size();
-  const size_t poly_count = compiled->poly_count();
-  std::vector<std::vector<double>> out(n, std::vector<double>(poly_count));
-  std::vector<DenseValuation> dense;
-  dense.reserve(n);
-  for (const Valuation& scenario : scenarios) {
-    dense.push_back(compiled->MaterializeValuation(scenario));
-  }
-  std::vector<const DenseValuation*> dense_ptrs(n);
-  for (size_t s = 0; s < n; ++s) dense_ptrs[s] = &dense[s];
-  if (n == 0 || poly_count == 0) return out;
-
-  // Parallelism stays over POLYNOMIAL ranges (one EvaluateBatch per chunk
-  // carrying the whole scenario batch), so the chosen backend keeps full
-  // lanes regardless of the pool width.
-  const size_t chunks = ChunkCount(poly_count, pool);
-  const size_t per_chunk = (poly_count + chunks - 1) / chunks;
-  std::vector<Status> chunk_status(chunks);
-  pool.ParallelFor(chunks, [&](size_t chunk) {
-    const size_t begin = chunk * per_chunk;
-    const size_t end = std::min(poly_count, begin + per_chunk);
-    if (begin >= end) return;
-    std::vector<double*> out_ptrs(n);
-    for (size_t s = 0; s < n; ++s) out_ptrs[s] = out[s].data() + begin;
-    chunk_status[chunk] = route->EvaluateBatch(
-        *compiled, begin, end, dense_ptrs.data(), out_ptrs.data(), n);
-  });
-  for (const Status& status : chunk_status) {
-    if (!status.ok()) return status;
-  }
-  return out;
-}
-
-StatusOr<CompressionResult> ParallelCompress(const PolynomialSet& polys,
-                                             const AbstractionForest& forest,
-                                             const std::string& algo,
-                                             const CompressOptions& options,
-                                             ThreadPool& pool) {
-  StatusOr<const Compressor*> compressor =
-      CompressorRegistry::Default().Resolve(algo);
-  if (!compressor.ok()) return compressor.status();
-  if (algo == "brute") {
-    BruteForceOptions brute;
-    if (options.time_budget_ms > 0) {
-      brute.deadline = Deadline::AfterMillis(options.time_budget_ms);
-    }
-    return ParallelBruteForce(polys, forest, options.bound, pool, brute);
-  }
-  return (*compressor)->Compress(polys, forest, options);
-}
-
 }  // namespace provabs

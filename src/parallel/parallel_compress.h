@@ -1,7 +1,6 @@
 #ifndef PROVABS_PARALLEL_PARALLEL_COMPRESS_H_
 #define PROVABS_PARALLEL_PARALLEL_COMPRESS_H_
 
-#include <string>
 #include <vector>
 
 #include "abstraction/abstraction_forest.h"
@@ -37,32 +36,6 @@ StatusOr<CompressionResult> ParallelBruteForce(
 std::vector<double> ParallelEvaluateAll(const Valuation& valuation,
                                         const PolynomialSet& polys,
                                         ThreadPool& pool);
-
-/// Batched what-if evaluation over the pool: every scenario against every
-/// polynomial of the set, through the backend chosen by
-/// EvaluationBackendRegistry::Route(backend_name, snapshot, #scenarios)
-/// (empty name = the backend measured fastest on this snapshot at this
-/// batch width). Workers split POLYNOMIAL ranges, each carrying the full
-/// scenario batch, so the backend keeps full SIMD lanes at any pool width.
-/// result[s][p] = value of polynomial p under scenarios[s], bitwise
-/// identical to Valuation::Evaluate. Unknown backend names fail listing the
-/// registered set.
-StatusOr<std::vector<std::vector<double>>> ParallelEvaluateScenarios(
-    const std::vector<Valuation>& scenarios, const PolynomialSet& polys,
-    ThreadPool& pool, const std::string& backend_name = "");
-
-/// Registry-routed compression with pool acceleration where it exists:
-/// "brute" runs ParallelBruteForce over `pool`; every other registered
-/// algorithm resolves through CompressorRegistry::Default() and runs its
-/// serial implementation (their DPs are not parallelized yet). Results
-/// match the serial counterparts exactly (for "brute": same optimal
-/// variable loss, witness cut may differ among ties). Unknown names fail
-/// with the registry's name-listing error.
-StatusOr<CompressionResult> ParallelCompress(const PolynomialSet& polys,
-                                             const AbstractionForest& forest,
-                                             const std::string& algo,
-                                             const CompressOptions& options,
-                                             ThreadPool& pool);
 
 }  // namespace provabs
 

@@ -19,6 +19,21 @@ void SetError(Response& resp, const Status& status) {
   resp.message = status.message();
 }
 
+/// Encodes `handle`'s answer to a decoded request, or the decode failure.
+/// The decoder's Status is forwarded to the client: "corrupt element count"
+/// vs "buffer truncated" matters when debugging version skew or a mangled
+/// frame.
+template <class Req, class Handle>
+std::string Answer(MessageKind kind, const StatusOr<Req>& req,
+                   Handle handle) {
+  if (req.ok()) return EncodeResponse(handle(*req));
+  Response resp;
+  resp.request_kind = kind;
+  SetError(resp, Status::InvalidArgument("malformed request payload: " +
+                                         req.status().ToString()));
+  return EncodeResponse(resp);
+}
+
 }  // namespace
 
 ProvenanceService::ProvenanceService(const ServiceOptions& options)
@@ -640,108 +655,57 @@ std::string ProvenanceService::HandleFrame(std::string_view payload,
 
 std::string ProvenanceService::HandleFrameImpl(std::string_view payload,
                                                bool* shutdown) {
-  Response resp;
   StatusOr<MessageKind> kind = PeekMessageKind(payload);
   if (!kind.ok()) {
+    Response resp;
     SetError(resp, kind.status());
     return EncodeResponse(resp);
   }
-  // On a decode failure the decoder's Status is forwarded to the client —
-  // "corrupt element count" vs "buffer truncated" matters when debugging
-  // version skew or a mangled frame.
-  Status decode_error = Status::OK();
   switch (*kind) {
-    case MessageKind::kLoadRequest: {
-      auto req = DecodeLoadRequest(payload);
-      if (!req.ok()) {
-        decode_error = req.status();
-        break;
-      }
-      return EncodeResponse(Load(*req));
-    }
-    case MessageKind::kAppendRequest: {
-      auto req = DecodeAppendRequest(payload);
-      if (!req.ok()) {
-        decode_error = req.status();
-        break;
-      }
-      return EncodeResponse(Append(*req));
-    }
-    case MessageKind::kCompressRequest: {
-      auto req = DecodeCompressRequest(payload);
-      if (!req.ok()) {
-        decode_error = req.status();
-        break;
-      }
-      return EncodeResponse(Compress(*req));
-    }
-    case MessageKind::kEvaluateRequest: {
-      auto req = DecodeEvaluateRequest(payload);
-      if (!req.ok()) {
-        decode_error = req.status();
-        break;
-      }
-      return EncodeResponse(Evaluate(*req));
-    }
-    case MessageKind::kEvaluateScenarioProgramRequest: {
-      auto req = DecodeEvaluateScenarioProgramRequest(payload);
-      if (!req.ok()) {
-        decode_error = req.status();
-        break;
-      }
-      return EncodeResponse(EvaluateScenarioProgram(*req));
-    }
-    case MessageKind::kInfoRequest: {
-      auto req = DecodeInfoRequest(payload);
-      if (!req.ok()) {
-        decode_error = req.status();
-        break;
-      }
-      return EncodeResponse(Info(*req));
-    }
-    case MessageKind::kTradeoffRequest: {
-      auto req = DecodeTradeoffRequest(payload);
-      if (!req.ok()) {
-        decode_error = req.status();
-        break;
-      }
-      return EncodeResponse(Tradeoff(*req));
-    }
-    case MessageKind::kListAlgosRequest: {
-      auto req = DecodeListAlgosRequest(payload);
-      if (!req.ok()) {
-        decode_error = req.status();
-        break;
-      }
-      return EncodeResponse(ListAlgos(*req));
-    }
-    case MessageKind::kListBackendsRequest: {
-      auto req = DecodeListBackendsRequest(payload);
-      if (!req.ok()) {
-        decode_error = req.status();
-        break;
-      }
-      return EncodeResponse(ListBackends(*req));
-    }
-    case MessageKind::kShutdownRequest: {
-      auto req = DecodeShutdownRequest(payload);
-      if (!req.ok()) {
-        decode_error = req.status();
-        break;
-      }
-      if (shutdown != nullptr) *shutdown = true;
-      resp.request_kind = MessageKind::kShutdownRequest;
-      AttachStats(resp);
-      return EncodeResponse(resp);
-    }
+    case MessageKind::kLoadRequest:
+      return Answer(*kind, DecodeLoadRequest(payload),
+                    [&](const auto& req) { return Load(req); });
+    case MessageKind::kAppendRequest:
+      return Answer(*kind, DecodeAppendRequest(payload),
+                    [&](const auto& req) { return Append(req); });
+    case MessageKind::kCompressRequest:
+      return Answer(*kind, DecodeCompressRequest(payload),
+                    [&](const auto& req) { return Compress(req); });
+    case MessageKind::kEvaluateRequest:
+      return Answer(*kind, DecodeEvaluateRequest(payload),
+                    [&](const auto& req) { return Evaluate(req); });
+    case MessageKind::kEvaluateScenarioProgramRequest:
+      return Answer(*kind, DecodeEvaluateScenarioProgramRequest(payload),
+                    [&](const auto& req) {
+                      return EvaluateScenarioProgram(req);
+                    });
+    case MessageKind::kInfoRequest:
+      return Answer(*kind, DecodeInfoRequest(payload),
+                    [&](const auto& req) { return Info(req); });
+    case MessageKind::kTradeoffRequest:
+      return Answer(*kind, DecodeTradeoffRequest(payload),
+                    [&](const auto& req) { return Tradeoff(req); });
+    case MessageKind::kListAlgosRequest:
+      return Answer(*kind, DecodeListAlgosRequest(payload),
+                    [&](const auto& req) { return ListAlgos(req); });
+    case MessageKind::kListBackendsRequest:
+      return Answer(*kind, DecodeListBackendsRequest(payload),
+                    [&](const auto& req) { return ListBackends(req); });
+    case MessageKind::kShutdownRequest:
+      return Answer(*kind, DecodeShutdownRequest(payload),
+                    [&](const ShutdownRequest&) {
+                      if (shutdown != nullptr) *shutdown = true;
+                      Response resp;
+                      resp.request_kind = MessageKind::kShutdownRequest;
+                      AttachStats(resp);
+                      return resp;
+                    });
     case MessageKind::kResponse:
-      SetError(resp, Status::InvalidArgument(
-                         "a response message is not a valid request"));
-      return EncodeResponse(resp);
+      break;
   }
-  resp.request_kind = *kind;
-  SetError(resp, Status::InvalidArgument("malformed request payload: " +
-                                         decode_error.ToString()));
+  Response resp;
+  SetError(resp, Status::InvalidArgument(
+                     "a response message is not a valid request"));
   return EncodeResponse(resp);
 }
 

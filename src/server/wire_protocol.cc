@@ -7,6 +7,7 @@
 #include <limits>
 #include <poll.h>
 #include <sys/socket.h>
+#include <type_traits>
 #include <unistd.h>
 
 #include "common/macros.h"
@@ -17,62 +18,344 @@ namespace provabs {
 namespace {
 
 constexpr char kMagic[4] = {'P', 'V', 'A', 'B'};
-constexpr uint8_t kVersion = kWireVersion;
 
-void WriteHeader(ByteWriter& w, MessageKind kind) {
-  w.PutBytes(kMagic, 4);
-  w.PutU8(kVersion);
-  w.PutU8(static_cast<uint8_t>(kind));
+// ------------------------------------------------------------ field lists --
+//
+// Every message's fields, once, in wire order. The writer, the reader and
+// the minimum-size counter below all walk these lists, so a list IS its
+// message's layout: a field added here is encoded, decoded and counted in
+// every element-size check with no other edit (bump kWireVersion and the
+// golden bytes in tests/wire_protocol_test.cc with it). `M` is the message
+// type or, for the writer, its const form.
+
+template <class M, class T>
+using FieldsOf = std::enable_if_t<std::is_same_v<std::remove_const_t<M>, T>>;
+
+template <class V, class M>
+FieldsOf<M, LoadRequest> Fields(V& v, M& m) {
+  v(m.artifact, m.polys_bytes, m.forests);
 }
 
-Status CheckHeader(ByteReader& r, MessageKind expected_kind) {
+template <class V, class M>
+FieldsOf<M, CompressRequest> Fields(V& v, M& m) {
+  v(m.artifact, m.forest, m.algo, m.bound);
+}
+
+template <class V, class M>
+FieldsOf<M, EvaluateRequest> Fields(V& v, M& m) {
+  v(m.artifact, m.assignments, m.compressed, m.forest, m.algo, m.bound,
+    m.eval_backend);
+}
+
+template <class V, class M>
+FieldsOf<M, InfoRequest> Fields(V& v, M& m) {
+  v(m.artifact);
+}
+
+template <class V, class M>
+FieldsOf<M, TradeoffRequest> Fields(V& v, M& m) {
+  v(m.artifact, m.forest);
+}
+
+/// ShutdownRequest, ListAlgosRequest and ListBackendsRequest are a bare
+/// header.
+template <class V, class M>
+std::enable_if_t<std::is_empty_v<M>> Fields(V&, M&) {}
+
+template <class V, class M>
+FieldsOf<M, EvaluateScenarioProgramRequest> Fields(V& v, M& m) {
+  v(m.artifact, m.program, m.compressed, m.forest, m.algo, m.bound,
+    m.eval_backend);
+  v.Enum(m.shape, ScenarioShape::kTopK, "unknown scenario result shape");
+  v(m.top_k);
+}
+
+template <class V, class M>
+FieldsOf<M, AppendRequest> Fields(V& v, M& m) {
+  v(m.artifact, m.polys_bytes);
+}
+
+template <class V, class M>
+FieldsOf<M, TradeoffPoint> Fields(V& v, M& m) {
+  v(m.size_m, m.variable_loss);
+}
+
+template <class V, class M>
+FieldsOf<M, AlgoCapability> Fields(V& v, M& m) {
+  v(m.name, m.summary);
+  v.Flags(m.deterministic, m.supports_tradeoff, m.exact, m.produces_cut,
+          m.supports_time_budget);
+}
+
+template <class V, class M>
+FieldsOf<M, EvalBackendCapability> Fields(V& v, M& m) {
+  v(m.name, m.summary);
+  v.Flags(m.vectorized, m.deterministic);
+  v(m.preferred_batch);
+}
+
+template <class V, class M>
+FieldsOf<M, ServerStats> Fields(V& v, M& m) {
+  v(m.artifact_count, m.result_count, m.cached_bytes, m.byte_budget,
+    m.result_hits, m.result_misses, m.evictions, m.eval_batches,
+    m.eval_requests, m.dedup_hits, m.inflight_waiters, m.eval_groups,
+    m.eval_backend_calls, m.program_count, m.program_hits, m.program_misses,
+    m.active_connections, m.rejected_connections, m.idle_reaped,
+    m.loop_wakeups, m.delta_patched, m.delta_fallback_full);
+}
+
+template <class V, class M>
+FieldsOf<M, Response> Fields(V& v, M& m) {
+  v.Enum(m.request_kind);  // Echoed as the server sent it, unvalidated.
+  v.Enum(m.code, StatusCode::kUnavailable, "unknown status code in response");
+  v(m.message, m.stats);
+  v(m.generation, m.poly_count, m.monomial_count, m.variable_count);
+  v(m.cache_hit, m.dedup_hit, m.delta_patched, m.monomial_loss,
+    m.variable_loss, m.adequate, m.vvs, m.compressed_monomials);
+  v(m.values, m.points, m.algos, m.eval_backend, m.backends);
+  v(m.scenario_count, m.program_cache_hit, m.scenario_indices, m.objectives);
+}
+
+// --------------------------------------------------------------- visitors --
+//
+// Encodings: a string is a varint length and its bytes; an unsigned
+// integer a LEB128 varint; a bool or an enum one byte; Flags one byte with
+// bit i holding the i-th bool; a double 8 little-endian bytes; a vector a
+// varint count and its elements; a pair or a nested struct its members in
+// order.
+
+class Writer {
+ public:
+  template <class... Ts>
+  void operator()(const Ts&... fields) {
+    (Put(fields), ...);
+  }
+  template <class E>
+  void Enum(const E& field, E = E{}, const char* = nullptr) {
+    out.PutU8(static_cast<uint8_t>(field));
+  }
+  template <class... Bits>
+  void Flags(const Bits&... bits) {
+    unsigned flags = 0, shift = 0;
+    ((flags |= unsigned{bits} << shift++), ...);
+    out.PutU8(static_cast<uint8_t>(flags));
+  }
+
+  ByteWriter out;
+
+ private:
+  void Put(const std::string& s) { out.PutString(s); }
+  void Put(bool b) { out.PutU8(b ? 1 : 0); }
+  void Put(double d) { out.PutDouble(d); }
+  template <class A, class B>
+  void Put(const std::pair<A, B>& p) {
+    Put(p.first);
+    Put(p.second);
+  }
+  template <class T>
+  void Put(const std::vector<T>& items) {
+    out.PutVarint(items.size());
+    for (const T& item : items) Put(item);
+  }
+  template <class T>
+  void Put(const T& field) {
+    if constexpr (std::is_integral_v<T>) {
+      out.PutVarint(field);
+    } else {
+      Fields(*this, field);
+    }
+  }
+};
+
+/// Counts the fewest bytes a value can encode to: 8 for a double, the sum
+/// of the members for a pair or a struct, and 1 for anything else (an
+/// empty string or vector included).
+class MinSize {
+ public:
+  template <class... Ts>
+  void operator()(Ts&... fields) {
+    (Count(fields), ...);
+  }
+  template <class E>
+  void Enum(E&, E = E{}, const char* = nullptr) {
+    ++bytes;
+  }
+  template <class... Bits>
+  void Flags(Bits&...) {
+    ++bytes;
+  }
+
+  size_t bytes = 0;
+
+ private:
+  void Count(std::string&) { ++bytes; }
+  void Count(double&) { bytes += 8; }
+  template <class A, class B>
+  void Count(std::pair<A, B>& p) {
+    Count(p.first);
+    Count(p.second);
+  }
+  template <class T>
+  void Count(std::vector<T>&) {
+    ++bytes;
+  }
+  template <class T>
+  void Count(T& field) {
+    if constexpr (std::is_integral_v<T>) {
+      ++bytes;
+    } else {
+      Fields(*this, field);
+    }
+  }
+};
+
+template <class T>
+size_t MinBytes() {
+  static const size_t bytes = [] {
+    T value{};
+    MinSize counter;
+    counter(value);
+    return counter.bytes;
+  }();
+  return bytes;
+}
+
+/// Reads fields in list order. The first field that fails sets `status`
+/// and every later one is skipped, so a decode reports the first failure.
+class Reader {
+ public:
+  explicit Reader(ByteReader& in) : in_(in) {}
+
+  template <class... Ts>
+  void operator()(Ts&... fields) {
+    ((status.ok() ? Get(fields) : void()), ...);
+  }
+  /// A byte above `max` fails with `error`; without a bound any byte
+  /// decodes.
+  template <class E>
+  void Enum(E& field, E max = static_cast<E>(0xFF), const char* error = "") {
+    uint8_t byte = 0;
+    if (!status.ok() || !Take(in_.GetU8(), byte)) return;
+    if (byte > static_cast<uint8_t>(max)) {
+      status = Status::InvalidArgument(error);
+      return;
+    }
+    field = static_cast<E>(byte);
+  }
+  /// Spare bits are ignored, so a peer may define new ones.
+  template <class... Bits>
+  void Flags(Bits&... bits) {
+    uint8_t flags = 0;
+    if (!status.ok() || !Take(in_.GetU8(), flags)) return;
+    unsigned shift = 0;
+    ((bits = ((flags >> shift++) & 1) != 0), ...);
+  }
+
+  Status status;
+
+ private:
+  template <class T>
+  bool Take(StatusOr<T> got, T& out) {
+    if (!got.ok()) {
+      status = got.status();
+      return false;
+    }
+    out = std::move(*got);
+    return true;
+  }
+
+  void Get(std::string& s) { Take(in_.GetString(), s); }
+  void Get(double& d) { Take(in_.GetDouble(), d); }
+  void Get(bool& b) {
+    uint8_t byte = 0;
+    if (Take(in_.GetU8(), byte)) b = byte != 0;
+  }
+  template <class A, class B>
+  void Get(std::pair<A, B>& p) {
+    (*this)(p.first, p.second);
+  }
+  template <class T>
+  void Get(std::vector<T>& items) {
+    uint64_t count = 0;
+    if (!Take(in_.GetVarint(), count)) return;
+    // Same hardening as io/serializer.cc: every element occupies at least
+    // MinBytes<T>(), so a count the remaining bytes cannot hold is
+    // rejected BEFORE reserving memory.
+    if (count > in_.remaining() / MinBytes<T>() + 1) {
+      status = Status::InvalidArgument("corrupt element count in message");
+      return;
+    }
+    items.reserve(count);
+    for (uint64_t i = 0; i < count && status.ok(); ++i) {
+      items.emplace_back();
+      Get(items.back());
+    }
+  }
+  template <class T>
+  void Get(T& field) {
+    if constexpr (std::is_integral_v<T>) {
+      uint64_t value = 0;
+      if (Take(in_.GetVarint(), value)) field = static_cast<T>(value);
+    } else {
+      Fields(*this, field);
+    }
+  }
+
+  ByteReader& in_;
+};
+
+// ------------------------------------------------------------------ codec --
+
+/// Checks the magic and version, then returns the kind byte.
+StatusOr<uint8_t> ReadHeader(ByteReader& in) {
   for (char expected : kMagic) {
-    auto byte = r.GetU8();
+    auto byte = in.GetU8();
     if (!byte.ok()) return byte.status();
     if (static_cast<char>(*byte) != expected) {
       return Status::InvalidArgument("bad magic (not a provabs message)");
     }
   }
-  auto version = r.GetU8();
+  auto version = in.GetU8();
   if (!version.ok()) return version.status();
-  if (*version != kVersion) {
+  if (*version != kWireVersion) {
     return Status::InvalidArgument("unsupported protocol version");
   }
-  auto kind = r.GetU8();
-  if (!kind.ok()) return kind.status();
-  if (*kind != static_cast<uint8_t>(expected_kind)) {
-    return Status::InvalidArgument("payload holds a different message kind");
-  }
-  return Status::OK();
+  return in.GetU8();
 }
 
-/// Same hardening as io/serializer.cc: a parsed element count must be
-/// plausible for the bytes left (every element occupies at least
-/// `min_bytes`), checked BEFORE reserving memory.
-Status CheckCount(uint64_t count, size_t min_bytes, const ByteReader& r) {
-  if (count > r.remaining() / min_bytes + 1) {
-    return Status::InvalidArgument("corrupt element count in message");
+template <class M>
+std::string Encode(MessageKind kind, const M& msg) {
+  Writer writer;
+  writer.out.PutBytes(kMagic, 4);
+  writer.out.PutU8(kWireVersion);
+  writer.out.PutU8(static_cast<uint8_t>(kind));
+  writer(msg);
+  return std::move(writer.out).Release();
+}
+
+template <class M>
+StatusOr<M> Decode(MessageKind kind, std::string_view payload) {
+  ByteReader in(payload);
+  StatusOr<uint8_t> got = ReadHeader(in);
+  if (!got.ok()) return got.status();
+  if (*got != static_cast<uint8_t>(kind)) {
+    return Status::InvalidArgument("payload holds a different message kind");
   }
-  return Status::OK();
+  M msg;
+  Reader reader(in);
+  reader(msg);
+  if (!reader.status.ok()) return reader.status;
+  if (!in.AtEnd()) {
+    return Status::InvalidArgument("trailing bytes after the message");
+  }
+  return msg;
 }
 
 }  // namespace
 
 StatusOr<MessageKind> PeekMessageKind(std::string_view payload) {
-  ByteReader r(payload);
-  for (char expected : kMagic) {
-    auto byte = r.GetU8();
-    if (!byte.ok()) return byte.status();
-    if (static_cast<char>(*byte) != expected) {
-      return Status::InvalidArgument("bad magic (not a provabs message)");
-    }
-  }
-  auto version = r.GetU8();
-  if (!version.ok()) return version.status();
-  if (*version != kVersion) {
-    return Status::InvalidArgument("unsupported protocol version");
-  }
-  auto kind = r.GetU8();
+  ByteReader in(payload);
+  StatusOr<uint8_t> kind = ReadHeader(in);
   if (!kind.ok()) return kind.status();
   switch (static_cast<MessageKind>(*kind)) {
     case MessageKind::kLoadRequest:
@@ -91,527 +374,77 @@ StatusOr<MessageKind> PeekMessageKind(std::string_view payload) {
   return Status::InvalidArgument("unknown message kind");
 }
 
-// ----------------------------------------------------------- requests ----
-
 std::string EncodeLoadRequest(const LoadRequest& req) {
-  ByteWriter w;
-  WriteHeader(w, MessageKind::kLoadRequest);
-  w.PutString(req.artifact);
-  w.PutString(req.polys_bytes);
-  w.PutVarint(req.forests.size());
-  for (const auto& [name, bytes] : req.forests) {
-    w.PutString(name);
-    w.PutString(bytes);
-  }
-  return std::move(w).Release();
+  return Encode(MessageKind::kLoadRequest, req);
+}
+std::string EncodeCompressRequest(const CompressRequest& req) {
+  return Encode(MessageKind::kCompressRequest, req);
+}
+std::string EncodeEvaluateRequest(const EvaluateRequest& req) {
+  return Encode(MessageKind::kEvaluateRequest, req);
+}
+std::string EncodeInfoRequest(const InfoRequest& req) {
+  return Encode(MessageKind::kInfoRequest, req);
+}
+std::string EncodeTradeoffRequest(const TradeoffRequest& req) {
+  return Encode(MessageKind::kTradeoffRequest, req);
+}
+std::string EncodeShutdownRequest(const ShutdownRequest& req) {
+  return Encode(MessageKind::kShutdownRequest, req);
+}
+std::string EncodeListAlgosRequest(const ListAlgosRequest& req) {
+  return Encode(MessageKind::kListAlgosRequest, req);
+}
+std::string EncodeListBackendsRequest(const ListBackendsRequest& req) {
+  return Encode(MessageKind::kListBackendsRequest, req);
+}
+std::string EncodeEvaluateScenarioProgramRequest(
+    const EvaluateScenarioProgramRequest& req) {
+  return Encode(MessageKind::kEvaluateScenarioProgramRequest, req);
+}
+std::string EncodeAppendRequest(const AppendRequest& req) {
+  return Encode(MessageKind::kAppendRequest, req);
+}
+std::string EncodeResponse(const Response& resp) {
+  return Encode(MessageKind::kResponse, resp);
 }
 
 StatusOr<LoadRequest> DecodeLoadRequest(std::string_view payload) {
-  ByteReader r(payload);
-  PROVABS_RETURN_IF_ERROR(CheckHeader(r, MessageKind::kLoadRequest));
-  LoadRequest req;
-  auto artifact = r.GetString();
-  if (!artifact.ok()) return artifact.status();
-  req.artifact = std::move(*artifact);
-  auto polys = r.GetString();
-  if (!polys.ok()) return polys.status();
-  req.polys_bytes = std::move(*polys);
-  auto count = r.GetVarint();
-  if (!count.ok()) return count.status();
-  PROVABS_RETURN_IF_ERROR(CheckCount(*count, 2, r));
-  for (uint64_t i = 0; i < *count; ++i) {
-    auto name = r.GetString();
-    if (!name.ok()) return name.status();
-    auto bytes = r.GetString();
-    if (!bytes.ok()) return bytes.status();
-    req.forests.emplace_back(std::move(*name), std::move(*bytes));
-  }
-  return req;
+  return Decode<LoadRequest>(MessageKind::kLoadRequest, payload);
 }
-
-std::string EncodeCompressRequest(const CompressRequest& req) {
-  ByteWriter w;
-  WriteHeader(w, MessageKind::kCompressRequest);
-  w.PutString(req.artifact);
-  w.PutString(req.forest);
-  w.PutString(req.algo);
-  w.PutVarint(req.bound);
-  return std::move(w).Release();
-}
-
 StatusOr<CompressRequest> DecodeCompressRequest(std::string_view payload) {
-  ByteReader r(payload);
-  PROVABS_RETURN_IF_ERROR(CheckHeader(r, MessageKind::kCompressRequest));
-  CompressRequest req;
-  auto artifact = r.GetString();
-  if (!artifact.ok()) return artifact.status();
-  req.artifact = std::move(*artifact);
-  auto forest = r.GetString();
-  if (!forest.ok()) return forest.status();
-  req.forest = std::move(*forest);
-  auto algo = r.GetString();
-  if (!algo.ok()) return algo.status();
-  req.algo = std::move(*algo);
-  auto bound = r.GetVarint();
-  if (!bound.ok()) return bound.status();
-  req.bound = *bound;
-  return req;
+  return Decode<CompressRequest>(MessageKind::kCompressRequest, payload);
 }
-
-std::string EncodeEvaluateRequest(const EvaluateRequest& req) {
-  ByteWriter w;
-  WriteHeader(w, MessageKind::kEvaluateRequest);
-  w.PutString(req.artifact);
-  w.PutVarint(req.assignments.size());
-  for (const auto& [name, value] : req.assignments) {
-    w.PutString(name);
-    w.PutDouble(value);
-  }
-  w.PutU8(req.compressed ? 1 : 0);
-  w.PutString(req.forest);
-  w.PutString(req.algo);
-  w.PutVarint(req.bound);
-  w.PutString(req.eval_backend);
-  return std::move(w).Release();
-}
-
 StatusOr<EvaluateRequest> DecodeEvaluateRequest(std::string_view payload) {
-  ByteReader r(payload);
-  PROVABS_RETURN_IF_ERROR(CheckHeader(r, MessageKind::kEvaluateRequest));
-  EvaluateRequest req;
-  auto artifact = r.GetString();
-  if (!artifact.ok()) return artifact.status();
-  req.artifact = std::move(*artifact);
-  auto count = r.GetVarint();
-  if (!count.ok()) return count.status();
-  // An assignment is at least a 1-byte name length plus an 8-byte double.
-  PROVABS_RETURN_IF_ERROR(CheckCount(*count, 9, r));
-  for (uint64_t i = 0; i < *count; ++i) {
-    auto name = r.GetString();
-    if (!name.ok()) return name.status();
-    auto value = r.GetDouble();
-    if (!value.ok()) return value.status();
-    req.assignments.emplace_back(std::move(*name), *value);
-  }
-  auto compressed = r.GetU8();
-  if (!compressed.ok()) return compressed.status();
-  req.compressed = *compressed != 0;
-  auto forest = r.GetString();
-  if (!forest.ok()) return forest.status();
-  req.forest = std::move(*forest);
-  auto algo = r.GetString();
-  if (!algo.ok()) return algo.status();
-  req.algo = std::move(*algo);
-  auto bound = r.GetVarint();
-  if (!bound.ok()) return bound.status();
-  req.bound = *bound;
-  auto eval_backend = r.GetString();
-  if (!eval_backend.ok()) return eval_backend.status();
-  req.eval_backend = std::move(*eval_backend);
-  return req;
+  return Decode<EvaluateRequest>(MessageKind::kEvaluateRequest, payload);
 }
-
-std::string EncodeInfoRequest(const InfoRequest& req) {
-  ByteWriter w;
-  WriteHeader(w, MessageKind::kInfoRequest);
-  w.PutString(req.artifact);
-  return std::move(w).Release();
-}
-
 StatusOr<InfoRequest> DecodeInfoRequest(std::string_view payload) {
-  ByteReader r(payload);
-  PROVABS_RETURN_IF_ERROR(CheckHeader(r, MessageKind::kInfoRequest));
-  InfoRequest req;
-  auto artifact = r.GetString();
-  if (!artifact.ok()) return artifact.status();
-  req.artifact = std::move(*artifact);
-  return req;
+  return Decode<InfoRequest>(MessageKind::kInfoRequest, payload);
 }
-
-std::string EncodeTradeoffRequest(const TradeoffRequest& req) {
-  ByteWriter w;
-  WriteHeader(w, MessageKind::kTradeoffRequest);
-  w.PutString(req.artifact);
-  w.PutString(req.forest);
-  return std::move(w).Release();
-}
-
 StatusOr<TradeoffRequest> DecodeTradeoffRequest(std::string_view payload) {
-  ByteReader r(payload);
-  PROVABS_RETURN_IF_ERROR(CheckHeader(r, MessageKind::kTradeoffRequest));
-  TradeoffRequest req;
-  auto artifact = r.GetString();
-  if (!artifact.ok()) return artifact.status();
-  req.artifact = std::move(*artifact);
-  auto forest = r.GetString();
-  if (!forest.ok()) return forest.status();
-  req.forest = std::move(*forest);
-  return req;
+  return Decode<TradeoffRequest>(MessageKind::kTradeoffRequest, payload);
 }
-
-std::string EncodeShutdownRequest(const ShutdownRequest&) {
-  ByteWriter w;
-  WriteHeader(w, MessageKind::kShutdownRequest);
-  return std::move(w).Release();
-}
-
 StatusOr<ShutdownRequest> DecodeShutdownRequest(std::string_view payload) {
-  ByteReader r(payload);
-  PROVABS_RETURN_IF_ERROR(CheckHeader(r, MessageKind::kShutdownRequest));
-  return ShutdownRequest{};
+  return Decode<ShutdownRequest>(MessageKind::kShutdownRequest, payload);
 }
-
-std::string EncodeListAlgosRequest(const ListAlgosRequest&) {
-  ByteWriter w;
-  WriteHeader(w, MessageKind::kListAlgosRequest);
-  return std::move(w).Release();
-}
-
 StatusOr<ListAlgosRequest> DecodeListAlgosRequest(std::string_view payload) {
-  ByteReader r(payload);
-  PROVABS_RETURN_IF_ERROR(CheckHeader(r, MessageKind::kListAlgosRequest));
-  return ListAlgosRequest{};
+  return Decode<ListAlgosRequest>(MessageKind::kListAlgosRequest, payload);
 }
-
-std::string EncodeListBackendsRequest(const ListBackendsRequest&) {
-  ByteWriter w;
-  WriteHeader(w, MessageKind::kListBackendsRequest);
-  return std::move(w).Release();
-}
-
 StatusOr<ListBackendsRequest> DecodeListBackendsRequest(
     std::string_view payload) {
-  ByteReader r(payload);
-  PROVABS_RETURN_IF_ERROR(CheckHeader(r, MessageKind::kListBackendsRequest));
-  return ListBackendsRequest{};
+  return Decode<ListBackendsRequest>(MessageKind::kListBackendsRequest,
+                                     payload);
 }
-
-std::string EncodeEvaluateScenarioProgramRequest(
-    const EvaluateScenarioProgramRequest& req) {
-  ByteWriter w;
-  WriteHeader(w, MessageKind::kEvaluateScenarioProgramRequest);
-  w.PutString(req.artifact);
-  w.PutString(req.program);
-  w.PutU8(req.compressed ? 1 : 0);
-  w.PutString(req.forest);
-  w.PutString(req.algo);
-  w.PutVarint(req.bound);
-  w.PutString(req.eval_backend);
-  w.PutU8(static_cast<uint8_t>(req.shape));
-  w.PutVarint(req.top_k);
-  return std::move(w).Release();
-}
-
 StatusOr<EvaluateScenarioProgramRequest> DecodeEvaluateScenarioProgramRequest(
     std::string_view payload) {
-  ByteReader r(payload);
-  PROVABS_RETURN_IF_ERROR(
-      CheckHeader(r, MessageKind::kEvaluateScenarioProgramRequest));
-  EvaluateScenarioProgramRequest req;
-  auto artifact = r.GetString();
-  if (!artifact.ok()) return artifact.status();
-  req.artifact = std::move(*artifact);
-  auto program = r.GetString();
-  if (!program.ok()) return program.status();
-  req.program = std::move(*program);
-  auto compressed = r.GetU8();
-  if (!compressed.ok()) return compressed.status();
-  req.compressed = *compressed != 0;
-  auto forest = r.GetString();
-  if (!forest.ok()) return forest.status();
-  req.forest = std::move(*forest);
-  auto algo = r.GetString();
-  if (!algo.ok()) return algo.status();
-  req.algo = std::move(*algo);
-  auto bound = r.GetVarint();
-  if (!bound.ok()) return bound.status();
-  req.bound = *bound;
-  auto eval_backend = r.GetString();
-  if (!eval_backend.ok()) return eval_backend.status();
-  req.eval_backend = std::move(*eval_backend);
-  auto shape = r.GetU8();
-  if (!shape.ok()) return shape.status();
-  if (*shape > static_cast<uint8_t>(ScenarioShape::kTopK)) {
-    return Status::InvalidArgument("unknown scenario result shape");
-  }
-  req.shape = static_cast<ScenarioShape>(*shape);
-  auto top_k = r.GetVarint();
-  if (!top_k.ok()) return top_k.status();
-  req.top_k = *top_k;
-  return req;
+  return Decode<EvaluateScenarioProgramRequest>(
+      MessageKind::kEvaluateScenarioProgramRequest, payload);
 }
-
-std::string EncodeAppendRequest(const AppendRequest& req) {
-  ByteWriter w;
-  WriteHeader(w, MessageKind::kAppendRequest);
-  w.PutString(req.artifact);
-  w.PutString(req.polys_bytes);
-  return std::move(w).Release();
-}
-
 StatusOr<AppendRequest> DecodeAppendRequest(std::string_view payload) {
-  ByteReader r(payload);
-  PROVABS_RETURN_IF_ERROR(CheckHeader(r, MessageKind::kAppendRequest));
-  AppendRequest req;
-  auto artifact = r.GetString();
-  if (!artifact.ok()) return artifact.status();
-  req.artifact = std::move(*artifact);
-  auto polys = r.GetString();
-  if (!polys.ok()) return polys.status();
-  req.polys_bytes = std::move(*polys);
-  return req;
+  return Decode<AppendRequest>(MessageKind::kAppendRequest, payload);
 }
-
-// ----------------------------------------------------------- response ----
-
-std::string EncodeResponse(const Response& resp) {
-  ByteWriter w;
-  WriteHeader(w, MessageKind::kResponse);
-  w.PutU8(static_cast<uint8_t>(resp.request_kind));
-  w.PutU8(static_cast<uint8_t>(resp.code));
-  w.PutString(resp.message);
-
-  w.PutVarint(resp.stats.artifact_count);
-  w.PutVarint(resp.stats.result_count);
-  w.PutVarint(resp.stats.cached_bytes);
-  w.PutVarint(resp.stats.byte_budget);
-  w.PutVarint(resp.stats.result_hits);
-  w.PutVarint(resp.stats.result_misses);
-  w.PutVarint(resp.stats.evictions);
-  w.PutVarint(resp.stats.eval_batches);
-  w.PutVarint(resp.stats.eval_requests);
-  w.PutVarint(resp.stats.dedup_hits);
-  w.PutVarint(resp.stats.inflight_waiters);
-  w.PutVarint(resp.stats.eval_groups);
-  w.PutVarint(resp.stats.eval_backend_calls);
-  w.PutVarint(resp.stats.program_count);
-  w.PutVarint(resp.stats.program_hits);
-  w.PutVarint(resp.stats.program_misses);
-  w.PutVarint(resp.stats.active_connections);
-  w.PutVarint(resp.stats.rejected_connections);
-  w.PutVarint(resp.stats.idle_reaped);
-  w.PutVarint(resp.stats.loop_wakeups);
-  w.PutVarint(resp.stats.delta_patched);
-  w.PutVarint(resp.stats.delta_fallback_full);
-
-  w.PutVarint(resp.generation);
-  w.PutVarint(resp.poly_count);
-  w.PutVarint(resp.monomial_count);
-  w.PutVarint(resp.variable_count);
-
-  w.PutU8(resp.cache_hit ? 1 : 0);
-  w.PutU8(resp.dedup_hit ? 1 : 0);
-  w.PutU8(resp.delta_patched ? 1 : 0);
-  w.PutVarint(resp.monomial_loss);
-  w.PutVarint(resp.variable_loss);
-  w.PutU8(resp.adequate ? 1 : 0);
-  w.PutString(resp.vvs);
-  w.PutVarint(resp.compressed_monomials);
-
-  w.PutVarint(resp.values.size());
-  for (double v : resp.values) w.PutDouble(v);
-
-  w.PutVarint(resp.points.size());
-  for (const TradeoffPoint& p : resp.points) {
-    w.PutVarint(p.size_m);
-    w.PutVarint(p.variable_loss);
-  }
-
-  w.PutVarint(resp.algos.size());
-  for (const AlgoCapability& a : resp.algos) {
-    w.PutString(a.name);
-    w.PutString(a.summary);
-    uint8_t flags = 0;
-    if (a.deterministic) flags |= 1;
-    if (a.supports_tradeoff) flags |= 2;
-    if (a.exact) flags |= 4;
-    if (a.produces_cut) flags |= 8;
-    if (a.supports_time_budget) flags |= 16;
-    w.PutU8(flags);
-  }
-
-  w.PutString(resp.eval_backend);
-  w.PutVarint(resp.backends.size());
-  for (const EvalBackendCapability& b : resp.backends) {
-    w.PutString(b.name);
-    w.PutString(b.summary);
-    uint8_t flags = 0;
-    if (b.vectorized) flags |= 1;
-    if (b.deterministic) flags |= 2;
-    w.PutU8(flags);
-    w.PutVarint(b.preferred_batch);
-  }
-
-  w.PutVarint(resp.scenario_count);
-  w.PutU8(resp.program_cache_hit ? 1 : 0);
-  w.PutVarint(resp.scenario_indices.size());
-  for (uint64_t index : resp.scenario_indices) w.PutVarint(index);
-  w.PutVarint(resp.objectives.size());
-  for (double objective : resp.objectives) w.PutDouble(objective);
-  return std::move(w).Release();
-}
-
 StatusOr<Response> DecodeResponse(std::string_view payload) {
-  ByteReader r(payload);
-  PROVABS_RETURN_IF_ERROR(CheckHeader(r, MessageKind::kResponse));
-  Response resp;
-
-  auto request_kind = r.GetU8();
-  if (!request_kind.ok()) return request_kind.status();
-  resp.request_kind = static_cast<MessageKind>(*request_kind);
-  auto code = r.GetU8();
-  if (!code.ok()) return code.status();
-  if (*code > static_cast<uint8_t>(StatusCode::kUnavailable)) {
-    return Status::InvalidArgument("unknown status code in response");
-  }
-  resp.code = static_cast<StatusCode>(*code);
-  auto message = r.GetString();
-  if (!message.ok()) return message.status();
-  resp.message = std::move(*message);
-
-  uint64_t* stat_fields[] = {
-      &resp.stats.artifact_count, &resp.stats.result_count,
-      &resp.stats.cached_bytes,   &resp.stats.byte_budget,
-      &resp.stats.result_hits,    &resp.stats.result_misses,
-      &resp.stats.evictions,      &resp.stats.eval_batches,
-      &resp.stats.eval_requests,  &resp.stats.dedup_hits,
-      &resp.stats.inflight_waiters, &resp.stats.eval_groups,
-      &resp.stats.eval_backend_calls, &resp.stats.program_count,
-      &resp.stats.program_hits,   &resp.stats.program_misses,
-      &resp.stats.active_connections, &resp.stats.rejected_connections,
-      &resp.stats.idle_reaped,    &resp.stats.loop_wakeups,
-      &resp.stats.delta_patched,  &resp.stats.delta_fallback_full,
-      &resp.generation,           &resp.poly_count,
-      &resp.monomial_count,       &resp.variable_count};
-  for (uint64_t* field : stat_fields) {
-    auto v = r.GetVarint();
-    if (!v.ok()) return v.status();
-    *field = *v;
-  }
-
-  auto cache_hit = r.GetU8();
-  if (!cache_hit.ok()) return cache_hit.status();
-  resp.cache_hit = *cache_hit != 0;
-  auto dedup_hit = r.GetU8();
-  if (!dedup_hit.ok()) return dedup_hit.status();
-  resp.dedup_hit = *dedup_hit != 0;
-  auto delta_patched = r.GetU8();
-  if (!delta_patched.ok()) return delta_patched.status();
-  resp.delta_patched = *delta_patched != 0;
-  auto ml = r.GetVarint();
-  if (!ml.ok()) return ml.status();
-  resp.monomial_loss = *ml;
-  auto vl = r.GetVarint();
-  if (!vl.ok()) return vl.status();
-  resp.variable_loss = *vl;
-  auto adequate = r.GetU8();
-  if (!adequate.ok()) return adequate.status();
-  resp.adequate = *adequate != 0;
-  auto vvs = r.GetString();
-  if (!vvs.ok()) return vvs.status();
-  resp.vvs = std::move(*vvs);
-  auto compressed_m = r.GetVarint();
-  if (!compressed_m.ok()) return compressed_m.status();
-  resp.compressed_monomials = *compressed_m;
-
-  auto value_count = r.GetVarint();
-  if (!value_count.ok()) return value_count.status();
-  PROVABS_RETURN_IF_ERROR(CheckCount(*value_count, 8, r));
-  resp.values.reserve(*value_count);
-  for (uint64_t i = 0; i < *value_count; ++i) {
-    auto v = r.GetDouble();
-    if (!v.ok()) return v.status();
-    resp.values.push_back(*v);
-  }
-
-  auto point_count = r.GetVarint();
-  if (!point_count.ok()) return point_count.status();
-  PROVABS_RETURN_IF_ERROR(CheckCount(*point_count, 2, r));
-  resp.points.reserve(*point_count);
-  for (uint64_t i = 0; i < *point_count; ++i) {
-    auto size_m = r.GetVarint();
-    if (!size_m.ok()) return size_m.status();
-    auto vloss = r.GetVarint();
-    if (!vloss.ok()) return vloss.status();
-    resp.points.push_back(TradeoffPoint{static_cast<size_t>(*size_m),
-                                        static_cast<size_t>(*vloss)});
-  }
-
-  auto algo_count = r.GetVarint();
-  if (!algo_count.ok()) return algo_count.status();
-  // An algo record is at least two 1-byte string lengths plus a flags byte.
-  PROVABS_RETURN_IF_ERROR(CheckCount(*algo_count, 3, r));
-  resp.algos.reserve(*algo_count);
-  for (uint64_t i = 0; i < *algo_count; ++i) {
-    AlgoCapability a;
-    auto name = r.GetString();
-    if (!name.ok()) return name.status();
-    a.name = std::move(*name);
-    auto summary = r.GetString();
-    if (!summary.ok()) return summary.status();
-    a.summary = std::move(*summary);
-    auto flags = r.GetU8();
-    if (!flags.ok()) return flags.status();
-    a.deterministic = (*flags & 1) != 0;
-    a.supports_tradeoff = (*flags & 2) != 0;
-    a.exact = (*flags & 4) != 0;
-    a.produces_cut = (*flags & 8) != 0;
-    a.supports_time_budget = (*flags & 16) != 0;
-    resp.algos.push_back(std::move(a));
-  }
-
-  auto eval_backend = r.GetString();
-  if (!eval_backend.ok()) return eval_backend.status();
-  resp.eval_backend = std::move(*eval_backend);
-  auto backend_count = r.GetVarint();
-  if (!backend_count.ok()) return backend_count.status();
-  // A backend record is at least two 1-byte string lengths, a flags byte,
-  // and a 1-byte preferred-batch varint.
-  PROVABS_RETURN_IF_ERROR(CheckCount(*backend_count, 4, r));
-  resp.backends.reserve(*backend_count);
-  for (uint64_t i = 0; i < *backend_count; ++i) {
-    EvalBackendCapability b;
-    auto name = r.GetString();
-    if (!name.ok()) return name.status();
-    b.name = std::move(*name);
-    auto summary = r.GetString();
-    if (!summary.ok()) return summary.status();
-    b.summary = std::move(*summary);
-    auto flags = r.GetU8();
-    if (!flags.ok()) return flags.status();
-    b.vectorized = (*flags & 1) != 0;
-    b.deterministic = (*flags & 2) != 0;
-    auto preferred = r.GetVarint();
-    if (!preferred.ok()) return preferred.status();
-    b.preferred_batch = *preferred;
-    resp.backends.push_back(std::move(b));
-  }
-
-  auto scenario_count = r.GetVarint();
-  if (!scenario_count.ok()) return scenario_count.status();
-  resp.scenario_count = *scenario_count;
-  auto program_cache_hit = r.GetU8();
-  if (!program_cache_hit.ok()) return program_cache_hit.status();
-  resp.program_cache_hit = *program_cache_hit != 0;
-  auto index_count = r.GetVarint();
-  if (!index_count.ok()) return index_count.status();
-  PROVABS_RETURN_IF_ERROR(CheckCount(*index_count, 1, r));
-  resp.scenario_indices.reserve(*index_count);
-  for (uint64_t i = 0; i < *index_count; ++i) {
-    auto index = r.GetVarint();
-    if (!index.ok()) return index.status();
-    resp.scenario_indices.push_back(*index);
-  }
-  auto objective_count = r.GetVarint();
-  if (!objective_count.ok()) return objective_count.status();
-  PROVABS_RETURN_IF_ERROR(CheckCount(*objective_count, 8, r));
-  resp.objectives.reserve(*objective_count);
-  for (uint64_t i = 0; i < *objective_count; ++i) {
-    auto objective = r.GetDouble();
-    if (!objective.ok()) return objective.status();
-    resp.objectives.push_back(*objective);
-  }
-  return resp;
+  return Decode<Response>(MessageKind::kResponse, payload);
 }
 
 // ------------------------------------------------------------ framing ----

@@ -34,10 +34,14 @@ namespace provabs {
 /// Request kinds occupy 16..31 and responses 32..47, disjoint from the
 /// artifact kinds (1..4) of io/serializer.cc, so a stored artifact can never
 /// be mistaken for a protocol message. All decoders are bounds-checked and
-/// return `Status` errors on malformed input; they never abort (the bytes
-/// come from the network).
+/// return `Status` errors on malformed input, including bytes left over
+/// after the last field; they never abort (the bytes come from the
+/// network).
 
-/// Protocol version byte. Bump whenever any message layout changes so a
+/// Protocol version byte. The layout of every message is its field list in
+/// wire_protocol.cc, the single source for encoding, decoding and size
+/// checks. Adding a field is one entry in that list, a bump here, and an
+/// update of the golden bytes in tests/wire_protocol_test.cc, so a
 /// version-skewed peer gets a clean "unsupported protocol version" error
 /// instead of silently misparsing fields. History: 1 = PR 2 initial
 /// protocol; 2 = single-flight counters (dedup_hits/inflight_waiters in
