@@ -193,68 +193,6 @@ CompressorRegistry& CompressorRegistry::Default() {
   return *registry;
 }
 
-Status CompressorRegistry::Register(std::unique_ptr<Compressor> compressor) {
-  if (compressor == nullptr) {
-    return Status::InvalidArgument("cannot register a null compressor");
-  }
-  const std::string& name = compressor->info().name;
-  if (name.empty()) {
-    return Status::InvalidArgument("compressor name must be non-empty");
-  }
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto [it, inserted] = by_name_.emplace(name, std::move(compressor));
-  (void)it;
-  if (!inserted) {
-    return Status::InvalidArgument("compressor '" + name +
-                                   "' is already registered");
-  }
-  return Status::OK();
-}
-
-const Compressor* CompressorRegistry::Find(const std::string& name) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto it = by_name_.find(name);
-  return it == by_name_.end() ? nullptr : it->second.get();
-}
-
-StatusOr<const Compressor*> CompressorRegistry::Resolve(
-    const std::string& name) const {
-  const Compressor* compressor = Find(name);
-  if (compressor == nullptr) {
-    return Status::InvalidArgument("unknown algorithm '" + name +
-                                   "' (registered: " + NamesCsv() + ")");
-  }
-  return compressor;
-}
-
-std::vector<std::string> CompressorRegistry::Names() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::vector<std::string> names;
-  names.reserve(by_name_.size());
-  for (const auto& [name, compressor] : by_name_) names.push_back(name);
-  return names;  // std::map iterates in sorted order.
-}
-
-std::vector<CompressorInfo> CompressorRegistry::Infos() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::vector<CompressorInfo> infos;
-  infos.reserve(by_name_.size());
-  for (const auto& [name, compressor] : by_name_) {
-    infos.push_back(compressor->info());
-  }
-  return infos;
-}
-
-std::string CompressorRegistry::NamesCsv() const {
-  std::vector<std::string> names = Names();
-  std::string csv;
-  for (size_t i = 0; i < names.size(); ++i) {
-    if (i > 0) csv += ", ";
-    csv += names[i];
-  }
-  return csv;
-}
-
 Status RegisterBuiltinCompressors(CompressorRegistry& registry) {
   Status s = registry.Register(std::make_unique<OptCompressor>());
   if (!s.ok()) return s;

@@ -2,9 +2,7 @@
 #define PROVABS_ALGO_COMPRESSOR_H_
 
 #include <cstdint>
-#include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -12,6 +10,7 @@
 #include "abstraction/abstraction_forest.h"
 #include "abstraction/loss.h"
 #include "abstraction/valid_variable_set.h"
+#include "common/registry.h"
 #include "common/statusor.h"
 #include "core/polynomial_set.h"
 
@@ -143,46 +142,18 @@ class Compressor {
       const CompressOptions& options) const = 0;
 };
 
-/// Name → compressor registry. `Default()` is the process-wide instance,
-/// pre-populated with the four built-ins; subsystems resolve request
-/// strings through it and error messages enumerate what is actually
-/// registered. Thread-safe; registered compressors live for the registry's
-/// lifetime (process lifetime for Default()).
-class CompressorRegistry {
+/// Name → compressor registry (common/registry.h). `Default()` is the
+/// process-wide instance, pre-populated with the four built-ins;
+/// subsystems resolve request strings through it and error messages
+/// enumerate what is actually registered.
+class CompressorRegistry : public Registry<Compressor, CompressorInfo> {
  public:
   /// An empty registry (for tests and embedders composing their own set).
-  CompressorRegistry() = default;
-
-  CompressorRegistry(const CompressorRegistry&) = delete;
-  CompressorRegistry& operator=(const CompressorRegistry&) = delete;
+  CompressorRegistry() : Registry("algorithm") {}
 
   /// The process-wide registry with "opt", "greedy", "brute", and "prox"
   /// registered. Constructed on first use (no static-init-order hazards).
   static CompressorRegistry& Default();
-
-  /// Registers a compressor under its info().name. Duplicate names are
-  /// rejected (kInvalidArgument) — silently replacing an algorithm another
-  /// subsystem already resolved would change results under its feet.
-  Status Register(std::unique_ptr<Compressor> compressor);
-
-  /// nullptr when no compressor of that name is registered.
-  const Compressor* Find(const std::string& name) const;
-
-  /// Find() with a useful failure: the error lists every registered name.
-  StatusOr<const Compressor*> Resolve(const std::string& name) const;
-
-  /// Registered names in sorted order.
-  std::vector<std::string> Names() const;
-
-  /// Capability records in name-sorted order (the ListAlgos payload).
-  std::vector<CompressorInfo> Infos() const;
-
-  /// "brute, greedy, opt, prox" — for error and usage text.
-  std::string NamesCsv() const;
-
- private:
-  mutable std::mutex mutex_;
-  std::map<std::string, std::unique_ptr<Compressor>> by_name_;
 };
 
 /// Registers the four built-in algorithm adapters into `registry`.

@@ -585,7 +585,7 @@ StatusOr<CompressionResult> OptimalSingleTree(
   // appends; the query below always runs in the k-clamped view, so the
   // answer is independent of the headroom.
   const uint32_t clamp = static_cast<uint32_t>(std::min<uint64_t>(
-      size_m, static_cast<uint64_t>(k) + options.retain_headroom));
+      size_m, static_cast<uint64_t>(k) + kRetainHeadroom));
 
   Solver solver;
   solver.tree = &tree;
@@ -613,7 +613,7 @@ StatusOr<CompressionResult> OptimalSingleTree(
   CompressionResult result =
       FinishResult(std::move(chosen), forest, tree_index, *table, k);
   result.budget_exhausted = solver.budget_exhausted;
-  if (options.retain_state && !solver.budget_exhausted) {
+  if (!solver.budget_exhausted) {
     auto state = std::make_shared<RetainedDpState>(std::move(table));
     state->tree_index = tree_index;
     state->bound = bound_b;

@@ -16,6 +16,17 @@
 
 namespace provabs {
 
+/// Extra bucket headroom retained above k = |P|_M − B: the DP arrays are
+/// computed at clamp K = min(|P|_M, k + kRetainHeadroom), so a retained
+/// result can be re-queried after appends grow |P|_M (hence k) by up to
+/// this many monomials without a full re-run. The reported result is
+/// provably identical for every headroom value (clamping commutes with the
+/// (min,+) convolution; the query runs in the k-clamped view), so the
+/// headroom trades DP work for incremental patchability only. Every run
+/// that did not exhaust its deadline keeps its per-tree DP tables (arrays,
+/// loss table, chosen cut) on the result for OptimalRecompress.
+inline constexpr uint32_t kRetainHeadroom = 64;
+
 /// Tuning knobs, exposed for the §4.1 ablation benchmarks.
 struct OptimalOptions {
   /// Use hash-map (sparse) DP arrays instead of dense (mostly-⊥) arrays.
@@ -30,18 +41,6 @@ struct OptimalOptions {
   /// what expiry trades away — with `budget_exhausted` set on the result.
   /// Default: never expires.
   Deadline deadline;
-  /// Extra bucket headroom retained above k = |P|_M − B: the DP arrays are
-  /// computed at clamp K = min(|P|_M, k + retain_headroom), so a retained
-  /// result can be re-queried after appends grow |P|_M (hence k) by up to
-  /// this many monomials without a full re-run. The reported result is
-  /// provably identical for every headroom value (clamping commutes with
-  /// the (min,+) convolution; the query runs in the k-clamped view), so
-  /// this knob trades DP work for incremental patchability only.
-  uint32_t retain_headroom = 64;
-  /// Keep the per-tree DP tables (arrays, loss table, chosen cut) on
-  /// the result for OptimalRecompress. Never retained for budget-exhausted
-  /// runs, whose degraded arrays are not exact.
-  bool retain_state = true;
 };
 
 namespace internal {

@@ -354,7 +354,7 @@ Status BackendRoute::EvaluateBatch(const CompiledPolynomialSet& compiled,
 // ------------------------------------------------- registry -------------
 
 EvaluationBackendRegistry::EvaluationBackendRegistry()
-    : routing_id_(NextRoutingId()) {}
+    : Registry("evaluation backend"), routing_id_(NextRoutingId()) {}
 
 EvaluationBackendRegistry& EvaluationBackendRegistry::Default() {
   static EvaluationBackendRegistry* registry = [] {
@@ -370,39 +370,11 @@ EvaluationBackendRegistry& EvaluationBackendRegistry::Default() {
 
 Status EvaluationBackendRegistry::Register(
     std::unique_ptr<EvaluationBackend> backend) {
-  if (backend == nullptr) {
-    return Status::InvalidArgument("cannot register a null backend");
+  Status registered = Registry::Register(std::move(backend));
+  if (registered.ok()) {
+    routing_id_.store(NextRoutingId(), std::memory_order_release);
   }
-  const std::string& name = backend->info().name;
-  if (name.empty()) {
-    return Status::InvalidArgument("backend name must be non-empty");
-  }
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto [it, inserted] = by_name_.emplace(name, std::move(backend));
-  (void)it;
-  if (!inserted) {
-    return Status::InvalidArgument("evaluation backend '" + name +
-                                   "' is already registered");
-  }
-  routing_id_.store(NextRoutingId(), std::memory_order_release);
-  return Status::OK();
-}
-
-const EvaluationBackend* EvaluationBackendRegistry::Find(
-    const std::string& name) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto it = by_name_.find(name);
-  return it == by_name_.end() ? nullptr : it->second.get();
-}
-
-StatusOr<const EvaluationBackend*> EvaluationBackendRegistry::Resolve(
-    const std::string& name) const {
-  const EvaluationBackend* backend = Find(name);
-  if (backend == nullptr) {
-    return Status::InvalidArgument("unknown evaluation backend '" + name +
-                                   "' (registered: " + NamesCsv() + ")");
-  }
-  return backend;
+  return registered;
 }
 
 StatusOr<const EvaluationBackend*> EvaluationBackendRegistry::ResolveForBatch(
@@ -499,34 +471,6 @@ StatusOr<BackendRoute> EvaluationBackendRegistry::Route(
     wc.chosen = *fallback;
   }
   return BackendRoute(wc.chosen);
-}
-
-std::vector<std::string> EvaluationBackendRegistry::Names() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::vector<std::string> names;
-  names.reserve(by_name_.size());
-  for (const auto& [name, backend] : by_name_) names.push_back(name);
-  return names;  // std::map iterates in sorted order.
-}
-
-std::vector<EvaluationBackendInfo> EvaluationBackendRegistry::Infos() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::vector<EvaluationBackendInfo> infos;
-  infos.reserve(by_name_.size());
-  for (const auto& [name, backend] : by_name_) {
-    infos.push_back(backend->info());
-  }
-  return infos;
-}
-
-std::string EvaluationBackendRegistry::NamesCsv() const {
-  std::vector<std::string> names = Names();
-  std::string csv;
-  for (size_t i = 0; i < names.size(); ++i) {
-    if (i > 0) csv += ", ";
-    csv += names[i];
-  }
-  return csv;
 }
 
 Status RegisterBuiltinEvaluationBackends(

@@ -4,12 +4,12 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
 
+#include "common/registry.h"
 #include "common/statusor.h"
 #include "core/compiled_polynomial_set.h"
 
@@ -26,7 +26,7 @@ class Valuation;
 /// the batched-evaluation shape the incremental-maintenance literature uses
 /// to make per-answer work sublinear. This header is the seam through which
 /// every evaluation path (Valuation::EvaluateAll, ParallelEvaluateAll, the
-/// serving EvaluateBatcher, the CLI, the benches) selects a strategy by
+/// serving EvaluateBatcher, the benches) selects a strategy by
 /// name — exactly how algo/compressor.h routes compression — or lets
 /// EvaluationBackendRegistry::Route pick the one measured fastest on the
 /// snapshot at hand. Adding a backend means registering one adapter, and
@@ -160,37 +160,23 @@ class BackendRoute {
 ///
 /// The test oracle is not a backend: it is per-polynomial
 /// Valuation::Evaluate, which every backend must match bit for bit.
-///
-/// Thread-safe; registered backends live for the registry's lifetime.
-class EvaluationBackendRegistry {
+class EvaluationBackendRegistry
+    : public Registry<EvaluationBackend, EvaluationBackendInfo> {
  public:
   /// An empty registry (for tests and embedders composing their own set).
   EvaluationBackendRegistry();
-
-  EvaluationBackendRegistry(const EvaluationBackendRegistry&) = delete;
-  EvaluationBackendRegistry& operator=(const EvaluationBackendRegistry&) =
-      delete;
 
   /// The process-wide registry with the built-ins registered. Constructed
   /// on first use (no static-init-order hazards).
   static EvaluationBackendRegistry& Default();
 
-  /// Registers a backend under its info().name. Duplicate names are
-  /// rejected (kInvalidArgument) — silently replacing a backend another
-  /// subsystem already resolved would change the bits under its feet.
-  /// Snapshots routed before a registration measure again afterwards, so
-  /// the newcomer gets its probe.
+  /// Registry::Register, after which snapshots routed before measure
+  /// again, so the newcomer gets its probe.
   Status Register(std::unique_ptr<EvaluationBackend> backend);
 
-  /// nullptr when no backend of that name is registered.
-  const EvaluationBackend* Find(const std::string& name) const;
-
-  /// Find() with a useful failure: the error lists every registered name.
-  StatusOr<const EvaluationBackend*> Resolve(const std::string& name) const;
-
   /// The routing entry point every evaluation path goes through (the
-  /// serving batcher, EvaluateScenarios, Valuation::EvaluateAll, the
-  /// parallel helpers and the CLI). An explicit `name` resolves strictly.
+  /// serving batcher, EvaluateScenarios, Valuation::EvaluateAll and the
+  /// parallel helpers). An explicit `name` resolves strictly.
   /// An empty name picks the backend measured fastest on THIS snapshot for
   /// the width class of `batch_size` (1, 2-7, >= 8):
   ///
@@ -230,20 +216,10 @@ class EvaluationBackendRegistry {
   StatusOr<const EvaluationBackend*> ResolveForBatch(const std::string& name,
                                                      size_t batch_size) const;
 
-  /// Registered names in sorted order.
-  std::vector<std::string> Names() const;
-
-  /// Capability records in name-sorted order (the ListBackends payload).
-  std::vector<EvaluationBackendInfo> Infos() const;
-
-  /// "compiled, jit, simd_batch" — for error and usage text.
-  std::string NamesCsv() const;
-
  private:
-  mutable std::mutex mutex_;
-  std::map<std::string, std::unique_ptr<EvaluationBackend>> by_name_;
   /// Process-unique; redrawn by every Register (see BackendRouteMemo).
-  /// Written under mutex_, read without it on the routing fast path.
+  /// Redrawn after the newcomer is in `by_name_`, and read without the
+  /// lock on the routing fast path.
   std::atomic<uint64_t> routing_id_;
 };
 

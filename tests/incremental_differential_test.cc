@@ -253,7 +253,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, IncrementalDifferentialTest,
 
 /// A shape where the patch MUST be accepted: the appended polynomial only
 /// touches a leaf the cut kept, so no chosen interior is crossed and the
-/// default retain_headroom easily covers the growth.
+/// default kRetainHeadroom easily covers the growth.
 TEST(IncrementalDeterministicTest, LocalizedAddTakesThePatchPath) {
   VariableTable vars;
   std::vector<VariableId> leaves;
@@ -458,10 +458,10 @@ TEST_F(IncrementalLimitTest, DeltaLogPatchesAtCapacityAndDeclinesBeyond) {
   ExpectDecline(base, bound, RecompressFallback::kDeltaIncomplete);
 }
 
-/// With k = 0 at the retained run the clamp is exactly retain_headroom, so
-/// growing k by retain_headroom patches and by one more declines.
+/// With k = 0 at the retained run the clamp is exactly kRetainHeadroom, so
+/// growing k by kRetainHeadroom patches and by one more declines.
 TEST_F(IncrementalLimitTest, HeadroomPatchesAtTheClampAndDeclinesBeyond) {
-  const size_t headroom = OptimalOptions{}.retain_headroom;
+  const size_t headroom = kRetainHeadroom;
   const size_t bound = polys_.SizeM();
   ASSERT_GE(polys_.SizeM(), headroom);
   CompressionResult base = Base(bound);
@@ -469,7 +469,7 @@ TEST_F(IncrementalLimitTest, HeadroomPatchesAtTheClampAndDeclinesBeyond) {
   bool patched = false;
   RecompressAndCompare(polys_, forest_, vars_, base, base_revision_, bound,
                        &patched);
-  EXPECT_TRUE(patched) << "growth of exactly retain_headroom must patch";
+  EXPECT_TRUE(patched) << "growth of exactly kRetainHeadroom must patch";
 
   AppendSingles(1);
   ExpectDecline(base, bound, RecompressFallback::kHeadroomExhausted);
