@@ -507,10 +507,17 @@ void Server::WheelInsert(Conn& conn, uint64_t now_ms) {
                         ? std::min<uint64_t>(options_.idle_timeout_ms, 5000)
                         : options_.idle_timeout_ms;
   conn.idle_deadline_ms = now_ms + budget;
-  size_t bucket =
-      static_cast<size_t>((conn.idle_deadline_ms / wheel_tick_ms_) %
-                          kWheelBuckets);
-  wheel_[bucket].push_back(conn.id);
+  wheel_[WheelBucket(conn.idle_deadline_ms)].push_back(conn.id);
+}
+
+size_t Server::WheelBucket(uint64_t deadline_ms) const {
+  // The first tick at or after the deadline: its bucket is visited only
+  // once now >= that tick's start >= the deadline, so the visit finds the
+  // entry expired. The tick containing the deadline could be visited
+  // before the deadline, and the re-home below would then put the entry
+  // back into the bucket just drained, a whole revolution late.
+  return static_cast<size_t>(
+      ((deadline_ms + wheel_tick_ms_ - 1) / wheel_tick_ms_) % kWheelBuckets);
 }
 
 void Server::WheelAdvance(uint64_t now_ms) {
@@ -532,9 +539,7 @@ void Server::WheelAdvance(uint64_t now_ms) {
       Conn& conn = it->second;
       if (conn.idle_deadline_ms > now_ms) {
         // Activity pushed the deadline out; re-home to its current slot.
-        size_t dest = static_cast<size_t>(
-            (conn.idle_deadline_ms / wheel_tick_ms_) % kWheelBuckets);
-        wheel_[dest].push_back(id);
+        wheel_[WheelBucket(conn.idle_deadline_ms)].push_back(id);
         continue;
       }
       if (conn.in_flight) {

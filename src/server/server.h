@@ -146,6 +146,8 @@ class Server {
   // -- idle timer wheel --------------------------------------------------
   void WheelInsert(Conn& conn, uint64_t now_ms);
   void WheelAdvance(uint64_t now_ms);
+  /// The wheel bucket an idle deadline is filed under.
+  size_t WheelBucket(uint64_t deadline_ms) const;
 
   void BeginDrain(uint64_t now_ms);
   void WakeLoop();

@@ -10,6 +10,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
@@ -337,6 +338,55 @@ TEST(ServerLifecycleTest, IdleClientReapedWithinTwiceTimeout) {
   ASSERT_TRUE(resp.ok());
   EXPECT_GE(resp->stats.idle_reaped, 1u);
 
+  server.Shutdown();
+  server.Wait();
+}
+
+/// Reaping must not depend on when the event loop happens to wake. A busy
+/// client wakes it at every phase of a wheel tick, so some wake falls in
+/// an idle connection's deadline tick but before its deadline; that
+/// connection must still close within 2 x idle_timeout_ms, not a wheel
+/// revolution (256 ticks) later.
+TEST(ServerLifecycleTest, IdleClientReapedWhileAnotherClientIsBusy) {
+  ProvenanceService service;
+  ServerOptions options;
+  options.idle_timeout_ms = 400;
+  options.worker_threads = 1;
+  Server server(service, options);
+  ASSERT_TRUE(server.Start().ok());
+  auto busy = Client::Connect("127.0.0.1", server.port());
+  ASSERT_TRUE(busy.ok());
+  std::atomic<bool> stop{false};
+  std::thread chatter([&] {
+    while (!stop.load()) {
+      (void)busy->Info(InfoRequest{});
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    }
+  });
+
+  // Idle connections opened at spread phases of the 50 ms tick.
+  using Clock = std::chrono::steady_clock;
+  constexpr int kIdle = 6;
+  std::vector<std::pair<int, Clock::time_point>> idle;
+  for (int i = 0; i < kIdle; ++i) {
+    int fd = RawConnect(server.port());
+    ASSERT_GE(fd, 0);
+    idle.emplace_back(fd, Clock::now());
+    std::this_thread::sleep_for(std::chrono::milliseconds(9));
+  }
+  for (int i = 0; i < kIdle; ++i) {
+    const auto [fd, opened] = idle[i];
+    int64_t waited = WaitForEof(fd, 4000);
+    ::close(fd);
+    EXPECT_GE(waited, 0) << "idle connection " << i << " was never reaped";
+    if (waited < 0) continue;
+    int64_t since_open = std::chrono::duration_cast<std::chrono::milliseconds>(
+                             Clock::now() - opened)
+                             .count();
+    EXPECT_LE(since_open, 2 * 400) << "idle connection " << i;
+  }
+  stop.store(true);
+  chatter.join();
   server.Shutdown();
   server.Wait();
 }
