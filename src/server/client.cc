@@ -142,7 +142,7 @@ StatusOr<Response> Client::Call(const std::string& payload) {
     }
     return reply.status();
   }
-  return DecodeResponse(*reply);
+  return DecodeReply(payload, *reply);
 }
 
 StatusOr<Response> Client::Load(const LoadRequest& req) {

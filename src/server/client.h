@@ -53,13 +53,15 @@ class Client {
   StatusOr<Response> ListAlgos(const ListAlgosRequest& req);
   StatusOr<Response> ListBackends(const ListBackendsRequest& req);
 
+  /// Writes one encoded request frame and reads back its reply, honoring
+  /// rpc_timeout_ms across both halves. The reply is read through
+  /// DecodeReply, so a response to another verb is an error, not an
+  /// answer. The typed calls above are this with the request encoded.
+  StatusOr<Response> Call(const std::string& payload);
+
  private:
   Client(int fd, int64_t rpc_timeout_ms)
       : fd_(fd), rpc_timeout_ms_(rpc_timeout_ms) {}
-
-  /// Writes one encoded request frame and reads back the response,
-  /// honoring rpc_timeout_ms across both halves.
-  StatusOr<Response> Call(const std::string& payload);
 
   int fd_ = -1;
   int64_t rpc_timeout_ms_ = 0;

@@ -106,7 +106,8 @@ FieldsOf<M, ServerStats> Fields(V& v, M& m) {
 
 template <class V, class M>
 FieldsOf<M, Response> Fields(V& v, M& m) {
-  v.Enum(m.request_kind);  // Echoed as the server sent it, unvalidated.
+  v.Enum(m.request_kind, MessageKind::kResponse,
+         "unknown request kind in response");
   v.Enum(m.code, StatusCode::kUnavailable, "unknown status code in response");
   v(m.message, m.stats);
   v(m.generation, m.poly_count, m.monomial_count, m.variable_count);
@@ -407,6 +408,23 @@ std::string EncodeAppendRequest(const AppendRequest& req) {
 }
 std::string EncodeResponse(const Response& resp) {
   return Encode(MessageKind::kResponse, resp);
+}
+
+StatusOr<Response> DecodeReply(std::string_view request,
+                               std::string_view reply) {
+  StatusOr<MessageKind> sent = PeekMessageKind(request);
+  if (!sent.ok()) return sent.status();
+  StatusOr<Response> resp = DecodeResponse(reply);
+  if (!resp.ok()) return resp.status();
+  if (resp->request_kind != *sent &&
+      (resp->ok() || resp->request_kind != MessageKind::kResponse)) {
+    return Status::Internal(
+        "reply answers request kind " +
+        std::to_string(static_cast<int>(resp->request_kind)) +
+        ", not the kind " + std::to_string(static_cast<int>(*sent)) +
+        " that was sent");
+  }
+  return resp;
 }
 
 StatusOr<LoadRequest> DecodeLoadRequest(std::string_view payload) {

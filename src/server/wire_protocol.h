@@ -21,7 +21,7 @@ namespace provabs {
 /// long-lived `provabs_server` keeps deserialized artifacts and compressed
 /// results resident so those interactions never pay process startup or the
 /// compression DP again. This header defines the messages exchanged between
-/// `provabs_cli` remote subcommands and the server.
+/// `provabs_cli` and the server (or the CLI's in-process service).
 ///
 /// Framing on the socket:
 ///
@@ -271,8 +271,11 @@ struct ServerStats {
 };
 
 /// The single response envelope: `request_kind` echoes the request it
-/// answers, `code`/`message` carry the `Status` error model across the wire,
-/// and the remaining fields are populated per verb (zero/empty otherwise).
+/// answers (kResponse when the server could not tell which request that
+/// was: an unreadable payload, or an admission rejection sent before any
+/// request was read), `code`/`message` carry the `Status` error model
+/// across the wire, and the remaining fields are populated per verb
+/// (zero/empty otherwise).
 struct Response {
   MessageKind request_kind = MessageKind::kResponse;
   StatusCode code = StatusCode::kOk;
@@ -374,6 +377,15 @@ StatusOr<EvaluateScenarioProgramRequest> DecodeEvaluateScenarioProgramRequest(
     std::string_view payload);
 StatusOr<AppendRequest> DecodeAppendRequest(std::string_view payload);
 StatusOr<Response> DecodeResponse(std::string_view payload);
+
+/// Decodes `reply` as the answer to the encoded `request`: a Response that
+/// echoes the request's kind. An error reply may instead carry kResponse
+/// (see Response::request_kind). Any other kind means the reply answers a
+/// different request, and is rejected with kInternal rather than read as
+/// this one's answer. Every caller of the protocol (Client and the CLI's
+/// in-process service) reads replies through this check.
+StatusOr<Response> DecodeReply(std::string_view request,
+                               std::string_view reply);
 
 /// Frames larger than this are rejected before any allocation, so a corrupt
 /// or hostile length prefix cannot OOM the server.

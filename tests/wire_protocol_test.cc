@@ -2,15 +2,19 @@
 
 #include <gtest/gtest.h>
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <functional>
 #include <random>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "io/byte_stream.h"
+#include "server/client.h"
 
 namespace provabs {
 namespace {
@@ -688,6 +692,97 @@ TEST(WireProtocolTest, WrongKindRejected) {
   std::string compress = EncodeCompressRequest(CompressRequest{});
   EXPECT_FALSE(DecodeLoadRequest(compress).ok());
   EXPECT_FALSE(DecodeResponse(compress).ok());
+}
+
+/// A response's request_kind byte is bounded by kResponse, so a flipped
+/// byte such as 0xF9 or 0xAD fails decoding instead of naming a kind no
+/// request has.
+TEST(WireProtocolTest, FlippedResponseKindRejected) {
+  Response resp;
+  resp.request_kind = MessageKind::kEvaluateRequest;
+  const std::string encoded = EncodeResponse(resp);
+  constexpr size_t kKindByte = 6;  // after the magic, version and kind
+  ASSERT_EQ(static_cast<uint8_t>(encoded[kKindByte]),
+            static_cast<uint8_t>(MessageKind::kEvaluateRequest));
+  for (uint8_t flipped : {uint8_t{0xF9}, uint8_t{0xAD}, uint8_t{0x21}}) {
+    std::string mutated = encoded;
+    mutated[kKindByte] = static_cast<char>(flipped);
+    StatusOr<Response> decoded = DecodeResponse(mutated);
+    ASSERT_FALSE(decoded.ok()) << static_cast<int>(flipped);
+    EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
+  }
+}
+
+/// DecodeReply reads a reply only as the answer to the request it was
+/// sent for. An error may carry kResponse (the server could not tell the
+/// request); an answer may not.
+TEST(WireProtocolTest, ReplyMustEchoTheSentKind) {
+  const std::string request = EncodeEvaluateRequest(EvaluateRequest{});
+  Response resp;
+  auto reply_with = [&](MessageKind kind, StatusCode code) {
+    resp.request_kind = kind;
+    resp.code = code;
+    return DecodeReply(request, EncodeResponse(resp));
+  };
+  EXPECT_TRUE(reply_with(MessageKind::kEvaluateRequest, StatusCode::kOk).ok());
+  StatusOr<Response> other =
+      reply_with(MessageKind::kCompressRequest, StatusCode::kOk);
+  ASSERT_FALSE(other.ok());
+  EXPECT_EQ(other.status().code(), StatusCode::kInternal);
+  EXPECT_FALSE(reply_with(MessageKind::kResponse, StatusCode::kOk).ok());
+
+  StatusOr<Response> rejected =
+      reply_with(MessageKind::kResponse, StatusCode::kUnavailable);
+  ASSERT_TRUE(rejected.ok()) << rejected.status().ToString();
+  EXPECT_EQ(rejected->code, StatusCode::kUnavailable);
+  EXPECT_TRUE(
+      reply_with(MessageKind::kEvaluateRequest, StatusCode::kNotFound).ok());
+  EXPECT_FALSE(
+      reply_with(MessageKind::kLoadRequest, StatusCode::kNotFound).ok());
+  // A reply to something that is not a request answers nothing.
+  EXPECT_FALSE(DecodeReply("junk", EncodeResponse(resp)).ok());
+}
+
+/// A peer that answers every request with a Compress response: Client
+/// reads each reply through DecodeReply, so the Compress call gets its
+/// answer and the Info call an error instead of a Compress answer.
+TEST(WireProtocolTest, ClientRejectsReplyToAnotherVerb) {
+  int listener = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(listener, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  socklen_t len = sizeof(addr);
+  ASSERT_EQ(::bind(listener, reinterpret_cast<sockaddr*>(&addr), len), 0);
+  ASSERT_EQ(::listen(listener, 1), 0);
+  ASSERT_EQ(::getsockname(listener, reinterpret_cast<sockaddr*>(&addr), &len),
+            0);
+  std::thread peer([listener] {
+    int fd = ::accept(listener, nullptr, nullptr);
+    if (fd < 0) return;
+    Response compress_answer;
+    compress_answer.request_kind = MessageKind::kCompressRequest;
+    while (ReadFrame(fd).ok() &&
+           WriteFrame(fd, EncodeResponse(compress_answer)).ok()) {
+    }
+    ::close(fd);
+  });
+
+  {
+    StatusOr<Client> client = Client::Connect("127.0.0.1", ntohs(addr.sin_port));
+    EXPECT_TRUE(client.ok()) << client.status().ToString();
+    if (client.ok()) {
+      StatusOr<Response> compress = client->Compress(CompressRequest{});
+      EXPECT_TRUE(compress.ok()) << compress.status().ToString();
+      // No ASSERT here: returning early would leave `peer` unjoined.
+      StatusOr<Response> info = client->Info(InfoRequest{"a"});
+      EXPECT_FALSE(info.ok());
+      EXPECT_EQ(info.status().code(), StatusCode::kInternal);
+    }
+  }  // The client closes its end, so the peer's read ends.
+  ::shutdown(listener, SHUT_RDWR);
+  peer.join();
+  ::close(listener);
 }
 
 // -------------------------------------------------------------- framing --
