@@ -1,5 +1,6 @@
 #include "scenario/program.h"
 
+#include <algorithm>
 #include <cmath>
 #include <string>
 #include <unordered_map>
@@ -11,10 +12,6 @@
 namespace provabs::scenario {
 
 namespace {
-
-// Hard ceiling on the Cartesian product. The serving tier imposes its own
-// (smaller, configurable) limit; this one only guards the arithmetic.
-constexpr uint64_t kMaxScenarioFamily = uint64_t{1} << 32;
 
 enum class Type { kNumber, kBool };
 
@@ -204,24 +201,13 @@ Status Fail(size_t* error_offset, size_t offset, const std::string& message) {
 
 }  // namespace
 
-StatusOr<ScenarioProgram> ScenarioProgram::Compile(
-    std::string_view source,
-    std::shared_ptr<const CompiledPolynomialSet> compiled,
-    const VariableTable& vars, size_t* error_offset) {
-  if (compiled == nullptr) {
-    return Status::InvalidArgument(
-        "scenario program needs a compiled polynomial set");
-  }
-  auto ast = Parse(source, error_offset);
-  if (!ast.ok()) return ast.status();
-
-  ScenarioProgram program;
-  program.compiled_ = std::move(compiled);
-
-  // Parameters: unique names, non-empty finite domains, bounded product.
-  std::unordered_map<std::string, uint32_t> param_index;
-  for (const ParamDecl& decl : ast->params) {
-    if (!param_index.emplace(decl.name, program.param_names_.size()).second) {
+StatusOr<ParamSpace> ParamSpace::Build(const ProgramAst& ast,
+                                       size_t* error_offset) {
+  // Unique names, non-empty finite domains, bounded product.
+  ParamSpace space;
+  for (const ParamDecl& decl : ast.params) {
+    if (std::find(space.names_.begin(), space.names_.end(), decl.name) !=
+        space.names_.end()) {
       return Fail(error_offset, decl.offset,
                   "duplicate parameter '" + decl.name + "'");
     }
@@ -259,14 +245,54 @@ StatusOr<ScenarioProgram> ScenarioProgram::Compile(
       }
       domain = decl.values;
     }
-    if (program.scenario_count_ > kMaxScenarioFamily / domain.size()) {
+    if (space.scenario_count_ > kMaxScenarioFamily / domain.size()) {
       return Fail(error_offset, decl.offset,
                   "scenario family too large (limit " +
                       std::to_string(kMaxScenarioFamily) + " scenarios)");
     }
-    program.scenario_count_ *= domain.size();
-    program.param_names_.push_back(decl.name);
-    program.param_values_.push_back(std::move(domain));
+    space.scenario_count_ *= domain.size();
+    space.names_.push_back(decl.name);
+    space.values_.push_back(std::move(domain));
+  }
+  return space;
+}
+
+void ParamSpace::Decode(uint64_t index, double* out) const {
+  for (size_t j = values_.size(); j-- > 0;) {
+    const std::vector<double>& domain = values_[j];
+    out[j] = domain[index % domain.size()];
+    index /= domain.size();
+  }
+}
+
+size_t ParamSpace::ApproxBytes() const {
+  size_t bytes = sizeof(*this);
+  for (const auto& name : names_) bytes += name.size() + sizeof(name);
+  for (const auto& domain : values_) {
+    bytes += domain.size() * sizeof(double) + sizeof(domain);
+  }
+  return bytes;
+}
+
+StatusOr<ScenarioProgram> ScenarioProgram::Compile(
+    std::string_view source,
+    std::shared_ptr<const CompiledPolynomialSet> compiled,
+    const VariableTable& vars, size_t* error_offset) {
+  if (compiled == nullptr) {
+    return Status::InvalidArgument(
+        "scenario program needs a compiled polynomial set");
+  }
+  auto ast = Parse(source, error_offset);
+  if (!ast.ok()) return ast.status();
+
+  ScenarioProgram program;
+  program.compiled_ = std::move(compiled);
+  auto params = ParamSpace::Build(*ast, error_offset);
+  if (!params.ok()) return params.status();
+  program.params_ = std::move(*params);
+  std::unordered_map<std::string, uint32_t> param_index;
+  for (uint32_t j = 0; j < program.params_.names().size(); ++j) {
+    param_index.emplace(program.params_.names()[j], j);
   }
 
   // Rules: type check and lower each value expression to postfix ops.
@@ -332,36 +358,21 @@ StatusOr<ScenarioProgram> ScenarioProgram::Compile(
   return program;
 }
 
-std::vector<double> ScenarioProgram::ParamValues(uint64_t index) const {
-  std::vector<double> values(param_values_.size());
-  for (size_t j = param_values_.size(); j-- > 0;) {
-    const std::vector<double>& domain = param_values_[j];
-    values[j] = domain[index % domain.size()];
-    index /= domain.size();
-  }
-  return values;
-}
-
 Status ScenarioProgram::ExpandChunk(uint64_t begin, uint64_t end,
                                     std::vector<DenseValuation>* out) const {
-  if (begin > end || end > scenario_count_) {
+  if (begin > end || end > scenario_count()) {
     return Status::OutOfRange("scenario chunk [" + std::to_string(begin) +
                               ", " + std::to_string(end) + ") exceeds family of " +
-                              std::to_string(scenario_count_));
+                              std::to_string(scenario_count()));
   }
   out->clear();
   out->reserve(static_cast<size_t>(end - begin));
-  std::vector<double> params(param_values_.size());
+  std::vector<double> params(params_.names().size());
   std::vector<double> rule_values(rules_.size());
   std::vector<double> stack;
   const size_t slot_count = compiled_->slot_count();
   for (uint64_t index = begin; index < end; ++index) {
-    uint64_t rest = index;
-    for (size_t j = param_values_.size(); j-- > 0;) {
-      const std::vector<double>& domain = param_values_[j];
-      params[j] = domain[rest % domain.size()];
-      rest /= domain.size();
-    }
+    params_.Decode(index, params.data());
     for (size_t r = 0; r < rules_.size(); ++r) {
       rule_values[r] = EvalOps(rules_[r], params.data(), &stack);
     }
@@ -376,11 +387,7 @@ Status ScenarioProgram::ExpandChunk(uint64_t begin, uint64_t end,
 }
 
 size_t ScenarioProgram::ApproxBytes() const {
-  size_t bytes = sizeof(*this);
-  for (const auto& name : param_names_) bytes += name.size() + sizeof(name);
-  for (const auto& domain : param_values_) {
-    bytes += domain.size() * sizeof(double) + sizeof(domain);
-  }
+  size_t bytes = sizeof(*this) - sizeof(params_) + params_.ApproxBytes();
   for (const auto& ops : rules_) bytes += ops.size() * sizeof(Op) + sizeof(ops);
   bytes += slot_rule_.size() * sizeof(int32_t);
   return bytes;

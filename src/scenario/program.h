@@ -18,6 +18,11 @@ class VariableTable;
 
 namespace provabs::scenario {
 
+/// Hard ceiling on a program's scenario family (the Cartesian product of
+/// its LET domains). Serving tiers impose their own, smaller limit; this
+/// one guards the arithmetic.
+inline constexpr uint64_t kMaxScenarioFamily = uint64_t{1} << 32;
+
 /// One stack-machine instruction of a lowered rule expression. Semantic
 /// analysis flattens the typed AST into postfix ops so per-scenario
 /// evaluation is a loop over a flat array — no tree walk, no allocation.
@@ -49,14 +54,45 @@ struct Op {
   uint32_t param = 0;     ///< kPushParam: parameter index
 };
 
+/// The scenario space of a parsed program: its LET parameters in
+/// declaration order, each with its expanded domain. The space is the
+/// Cartesian product of the domains, the LAST parameter varying fastest
+/// (row-major); a program with no parameters has a single scenario. It
+/// depends on the program text alone, so a client holding only the
+/// source can name the parameter assignment behind any scenario index a
+/// server reports.
+class ParamSpace {
+ public:
+  /// Expands the domains of `ast.params`. Fails with kInvalidArgument
+  /// (byte offset in the message and in `error_offset`, when given) on a
+  /// duplicate name, an empty or non-finite domain, or a product over the
+  /// family-size ceiling.
+  static StatusOr<ParamSpace> Build(const ProgramAst& ast,
+                                    size_t* error_offset = nullptr);
+
+  /// Total scenarios (>= 1).
+  uint64_t scenario_count() const { return scenario_count_; }
+  const std::vector<std::string>& names() const { return names_; }
+
+  /// Writes the parameter assignment of scenario `index` (mixed-radix
+  /// decode, last parameter fastest) to `out[0..names().size())`.
+  void Decode(uint64_t index, double* out) const;
+
+  /// Rough resident size (see ScenarioProgram::ApproxBytes).
+  size_t ApproxBytes() const;
+
+ private:
+  std::vector<std::string> names_;                 // declaration order
+  std::vector<std::vector<double>> values_;        // domain per parameter
+  uint64_t scenario_count_ = 1;
+};
+
 /// A scenario program compiled against one CompiledPolynomialSet: parse +
 /// type check + selector resolution done once, after which the scenario
 /// family expands lazily in chunks of fingerprint-stamped DenseValuations
 /// ready for EvaluateScenarios / EvaluateBatcher.
 ///
-/// Expansion semantics: the scenario space is the Cartesian product of the
-/// LET parameter domains in declaration order, the LAST parameter varying
-/// fastest (row-major). A program with no parameters is a single scenario.
+/// Expansion semantics: the scenario space is the program's ParamSpace.
 /// For each scenario, every rule expression is evaluated once under the
 /// parameter assignment; each variable takes the value of the FIRST rule
 /// whose selector matches its name, or 1.0 if none does.
@@ -77,15 +113,11 @@ class ScenarioProgram {
       const VariableTable& vars, size_t* error_offset = nullptr);
 
   /// Total scenarios in the family (>= 1; Compile rejects empty domains).
-  uint64_t scenario_count() const { return scenario_count_; }
+  uint64_t scenario_count() const { return params_.scenario_count(); }
 
-  size_t param_count() const { return param_names_.size(); }
-  const std::vector<std::string>& param_names() const { return param_names_; }
+  /// The program's parameters and the scenario index decode.
+  const ParamSpace& params() const { return params_; }
   size_t rule_count() const { return rules_.size(); }
-
-  /// Parameter assignment of scenario `index` (mixed-radix decode of the
-  /// Cartesian product, last parameter fastest), in declaration order.
-  std::vector<double> ParamValues(uint64_t index) const;
 
   /// Expands scenarios [begin, end) into `out` (cleared first), each
   /// stamped with the compiled set's fingerprint. kOutOfRange if the range
@@ -107,11 +139,9 @@ class ScenarioProgram {
   ScenarioProgram() = default;
 
   std::shared_ptr<const CompiledPolynomialSet> compiled_;
-  std::vector<std::string> param_names_;         // declaration order
-  std::vector<std::vector<double>> param_values_;  // domain per parameter
-  std::vector<std::vector<Op>> rules_;           // lowered rule expressions
-  std::vector<int32_t> slot_rule_;  // slot -> rule index, -1 = default 1.0
-  uint64_t scenario_count_ = 1;
+  ParamSpace params_;
+  std::vector<std::vector<Op>> rules_;  // lowered rule expressions
+  std::vector<int32_t> slot_rule_;      // slot -> rule index, -1 = default 1.0
 };
 
 }  // namespace provabs::scenario

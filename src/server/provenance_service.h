@@ -4,12 +4,14 @@
 #include <atomic>
 #include <cstddef>
 #include <functional>
+#include <limits>
 #include <mutex>
 #include <string>
 #include <string_view>
 #include <thread>
 
 #include "parallel/thread_pool.h"
+#include "scenario/program.h"
 #include "server/artifact_store.h"
 #include "server/evaluate_batcher.h"
 #include "server/wire_protocol.h"
@@ -48,13 +50,26 @@ struct ServiceOptions {
   /// loss-table build (ArtifactStore::LossTable) with the artifact's
   /// generation. The concurrency battery counts builds with it.
   std::function<void(uint64_t generation)> loss_table_hook;
+
+  /// Settings for a service that one short-lived process owns and queries
+  /// (provabs_cli's offline verbs). Its cache never evicts: the process
+  /// reads back the artifact and results it computed, and an eviction
+  /// would lose them. Its scenario limit is the language's own family
+  /// ceiling: shaped answers stay O(k) however large the family, and
+  /// values-shaped ones are still bounded by max_response_bytes.
+  static ServiceOptions OneShot() {
+    ServiceOptions options;
+    options.cache_bytes = std::numeric_limits<size_t>::max();
+    options.max_scenarios_per_request = scenario::kMaxScenarioFamily;
+    return options;
+  }
 };
 
 /// The serving core: load / compress / tradeoff / evaluate over named
 /// artifacts, decoupled from any transport so it is unit-testable without
-/// sockets. `tools/provabs_server` wraps it in a socket accept loop; the
-/// CLI's offline pipeline and the server share the same algorithm layer
-/// underneath (algo/, core/, io/).
+/// sockets. `tools/provabs_server` wraps it in a socket front end, and
+/// `provabs_cli`'s offline verbs own one in-process and send it the same
+/// encoded requests through HandleFrame.
 ///
 /// All handlers are thread-safe and may be called concurrently from many
 /// connection threads. Application errors never surface as C++ failures:

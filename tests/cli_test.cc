@@ -7,7 +7,12 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <sstream>
 #include <string>
+
+#include "core/polynomial_set.h"
+#include "core/variable.h"
+#include "io/serializer.h"
 
 namespace provabs {
 namespace {
@@ -50,6 +55,18 @@ class CliTest : public ::testing::Test {
   int Run(const std::string& args) {
     std::string cmd = Binary() + " " + args + " >/dev/null 2>&1";
     return std::system(cmd.c_str());
+  }
+
+  /// Runs a command and captures its combined stdout and stderr.
+  int RunCapture(const std::string& args, std::string* output) {
+    const std::string out_path = dir_ + "/cli_out.txt";
+    int rc = std::system(
+        (Binary() + " " + args + " > " + out_path + " 2>&1").c_str());
+    std::ifstream in(out_path);
+    std::stringstream buffer;
+    buffer << in.rdbuf();
+    *output = buffer.str();
+    return rc;
   }
 
   /// Extracts the process exit code from a std::system wait status.
@@ -268,6 +285,53 @@ TEST_F(CliTest, ScenarioFlagValidation) {
   EXPECT_EQ(ExitCode(Run("remote-scenario --port 1 --name a " + ok_expr +
                          " --algo opt")),
             2);  // --algo requires --bound
+}
+
+TEST_F(CliTest, AppendWithLeafLocalDeltaReportsThePatch) {
+  ASSERT_EQ(Run("generate --workload telephony --scale 0.01 --out " + dir_ +
+                "/pa.bin --forest-out " + dir_ + "/fa.bin"),
+            0);
+  // One monomial on a single plan leaf. The bound keeps every leaf in the
+  // cut, so the delta lies under no chosen internal node and the
+  // recompression patches the pre-append DP state.
+  VariableTable vars;
+  PolynomialSet extra;
+  extra.Add(Polynomial::FromMonomials(
+      {Monomial(2.5, {{vars.Intern("plan3"), 1}})}));
+  ASSERT_TRUE(WriteFile(dir_ + "/delta.bin",
+                        SerializePolynomialSet(extra, vars))
+                  .ok());
+  std::string out;
+  ASSERT_EQ(RunCapture("append --in " + dir_ + "/pa.bin --add " + dir_ +
+                           "/delta.bin --forest " + dir_ +
+                           "/fa.bin --bound 100000 --out " + dir_ +
+                           "/merged.bin",
+                       &out),
+            0)
+      << out;
+  EXPECT_NE(out.find("appended to"), std::string::npos) << out;
+  EXPECT_NE(out.find("ML=0 VL=0"), std::string::npos) << out;
+  EXPECT_NE(out.find("single-flight: patched a predecessor generation"),
+            std::string::npos)
+      << out;
+  EXPECT_EQ(Run("info --in " + dir_ + "/merged.bin"), 0);
+}
+
+TEST_F(CliTest, AppendReadsTheDeltaBeforeAnyDp) {
+  ASSERT_EQ(Run("generate --workload telephony --scale 0.01 --out " + dir_ +
+                "/pm.bin --forest-out " + dir_ + "/fm.bin"),
+            0);
+  // A missing --add file fails before the pre-append compression runs:
+  // the error names the file, not the bound the DP would find infeasible.
+  std::string out;
+  EXPECT_EQ(ExitCode(RunCapture("append --in " + dir_ + "/pm.bin --add " +
+                                    dir_ + "/missing.bin --forest " + dir_ +
+                                    "/fm.bin --bound 1",
+                                &out)),
+            1)
+      << out;
+  EXPECT_NE(out.find("missing.bin"), std::string::npos) << out;
+  EXPECT_EQ(out.find("Infeasible"), std::string::npos) << out;
 }
 
 TEST_F(CliTest, UnknownWorkloadRejected) {

@@ -49,6 +49,14 @@ uint64_t Bits(double v) {
   return bits;
 }
 
+/// The parameter assignment of scenario `index`, in declaration order.
+std::vector<double> Assignment(const ScenarioProgram& program,
+                               uint64_t index) {
+  std::vector<double> values(program.params().names().size());
+  program.params().Decode(index, values.data());
+  return values;
+}
+
 /// A tiny fixture set: polynomials over plan1, plan2, m1 so selector tests
 /// have real slots to resolve against.
 struct Fixture {
@@ -79,8 +87,8 @@ TEST(ScenarioProgramTest, NoParametersIsASingleScenario) {
   auto program = fx.Compile("SET * = 2;");
   ASSERT_TRUE(program.ok()) << program.status().ToString();
   EXPECT_EQ(program->scenario_count(), 1u);
-  EXPECT_EQ(program->param_count(), 0u);
-  EXPECT_TRUE(program->ParamValues(0).empty());
+  EXPECT_TRUE(program->params().names().empty());
+  EXPECT_TRUE(Assignment(*program, 0).empty());
 }
 
 TEST(ScenarioProgramTest, ScenarioCountIsTheCartesianProduct) {
@@ -98,9 +106,9 @@ TEST(ScenarioProgramTest, SweepCountToleratesFloatDrift) {
   auto program = fx.Compile("LET d = SWEEP(0.1 .. 1.0 STEP 0.1); SET * = d;");
   ASSERT_TRUE(program.ok()) << program.status().ToString();
   EXPECT_EQ(program->scenario_count(), 10u);
-  EXPECT_EQ(Bits(program->ParamValues(0)[0]), Bits(0.1));
-  EXPECT_EQ(Bits(program->ParamValues(3)[0]), Bits(0.1 + 3 * 0.1));
-  EXPECT_EQ(Bits(program->ParamValues(9)[0]), Bits(0.1 + 9 * 0.1));
+  EXPECT_EQ(Bits(Assignment(*program, 0)[0]), Bits(0.1));
+  EXPECT_EQ(Bits(Assignment(*program, 3)[0]), Bits(0.1 + 3 * 0.1));
+  EXPECT_EQ(Bits(Assignment(*program, 9)[0]), Bits(0.1 + 9 * 0.1));
 }
 
 TEST(ScenarioProgramTest, ParamValuesDecodeLastParameterFastest) {
@@ -110,11 +118,11 @@ TEST(ScenarioProgramTest, ParamValuesDecodeLastParameterFastest) {
   ASSERT_TRUE(program.ok()) << program.status().ToString();
   ASSERT_EQ(program->scenario_count(), 6u);
   // Row-major: lo cycles 1,2,3 while hi holds, then hi advances.
-  EXPECT_EQ(program->ParamValues(0), (std::vector<double>{10, 1}));
-  EXPECT_EQ(program->ParamValues(1), (std::vector<double>{10, 2}));
-  EXPECT_EQ(program->ParamValues(2), (std::vector<double>{10, 3}));
-  EXPECT_EQ(program->ParamValues(3), (std::vector<double>{20, 1}));
-  EXPECT_EQ(program->ParamValues(5), (std::vector<double>{20, 3}));
+  EXPECT_EQ(Assignment(*program, 0), (std::vector<double>{10, 1}));
+  EXPECT_EQ(Assignment(*program, 1), (std::vector<double>{10, 2}));
+  EXPECT_EQ(Assignment(*program, 2), (std::vector<double>{10, 3}));
+  EXPECT_EQ(Assignment(*program, 3), (std::vector<double>{20, 1}));
+  EXPECT_EQ(Assignment(*program, 5), (std::vector<double>{20, 3}));
 }
 
 TEST(ScenarioProgramTest, FirstMatchingRuleWinsAndUnmatchedDefaultToOne) {

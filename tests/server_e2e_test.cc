@@ -20,6 +20,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "algo/optimal_single_tree.h"
@@ -736,6 +737,97 @@ TEST_F(ServerBinarySmokeTest, FullRemoteSessionWithCacheHit) {
   log_text << log.rdbuf();
   EXPECT_NE(log_text.str().find("shut down cleanly"), std::string::npos)
       << log_text.str();
+}
+
+/// The lines of a verb's output that carry its answer: timings, cache
+/// counters and the closing summary line (timing, backend, program cache)
+/// legitimately differ between runs and are dropped.
+std::vector<std::string> AnswerLines(const std::string& output) {
+  std::vector<std::string> lines;
+  std::istringstream in(output);
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.empty() || line[0] == '(' || line.rfind("cache:", 0) == 0 ||
+        line.rfind("single-flight:", 0) == 0) {
+      continue;
+    }
+    if (line.find("ML=") != std::string::npos) {
+      line = line.substr(0, line.rfind(" in "));  // "... in 0.004s"
+    }
+    lines.push_back(line);
+  }
+  return lines;
+}
+
+/// The offline verbs answer through a ProvenanceService inside the CLI
+/// process and the remote-* verbs through a server; on one artifact each
+/// pair prints the same ML/VL/VVS, curve rows, polynomial values, and
+/// argmax winner with its objective and parameters.
+TEST_F(ServerBinarySmokeTest, OfflineAndRemoteVerbsPrintTheSameAnswers) {
+  std::string out;
+  const std::string p = dir_ + "/parity_p.bin";
+  const std::string f = dir_ + "/parity_f.bin";
+  ASSERT_EQ(RunCli("generate --workload telephony --scale 0.02 --out " + p +
+                       " --forest-out " + f,
+                   &out),
+            0)
+      << out;
+
+  std::string port_file = dir_ + "/parity.port";
+  std::remove(port_file.c_str());
+  pid_t pid = fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    std::FILE* log = std::freopen("/dev/null", "w", stdout);
+    (void)log;
+    execl(server_.c_str(), "provabs_server", "--port", "0", "--port-file",
+          port_file.c_str(), static_cast<char*>(nullptr));
+    std::_Exit(127);  // exec failed
+  }
+  ChildGuard guard{pid};
+  std::string port;
+  for (int i = 0; i < 200 && port.empty(); ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    std::ifstream in(port_file);
+    std::getline(in, port);
+  }
+  ASSERT_FALSE(port.empty()) << "server did not write its port file";
+
+  const std::string remote = "--port " + port + " --name tel";
+  ASSERT_EQ(RunCli("remote-load " + remote + " --in " + p + " --forest " + f,
+                   &out),
+            0)
+      << out;
+
+  const std::string program =
+      " --expr 'LET d = GRID(0.5, 1, 2); SET PREFIX(plan) = d;'"
+      " --shape argmax";
+  const std::pair<std::string, std::string> pairs[] = {
+      {"compress --in " + p + " --forest " + f + " --bound 1500",
+       "remote-compress " + remote + " --bound 1500"},
+      {"tradeoff --in " + p + " --forest " + f, "remote-tradeoff " + remote},
+      {"evaluate --in " + p + " --set m1=0.8",
+       "remote-evaluate " + remote + " --set m1=0.8"},
+      {"scenario --in " + p + program, "remote-scenario " + remote + program},
+  };
+  std::string local_out, remote_out;
+  for (const auto& [offline, online] : pairs) {
+    ASSERT_EQ(RunCli(offline, &local_out), 0) << local_out;
+    ASSERT_EQ(RunCli(online, &remote_out), 0) << remote_out;
+    const std::vector<std::string> local = AnswerLines(local_out);
+    EXPECT_FALSE(local.empty()) << offline;
+    EXPECT_EQ(local, AnswerLines(remote_out))
+        << offline << "\n" << local_out << "\n" << online << "\n"
+        << remote_out;
+  }
+  // The argmax winner is printed with the parameter behind it.
+  EXPECT_NE(remote_out.find("  d = "), std::string::npos) << remote_out;
+
+  EXPECT_EQ(RunCli("remote-shutdown --port " + port, &out), 0) << out;
+  int status = 0;
+  ASSERT_TRUE(WaitForExit(pid, &status))
+      << "server did not exit after remote-shutdown";
+  guard.armed = false;
 }
 
 /// The client-deadline acceptance bar: a remote-compress against a

@@ -519,6 +519,41 @@ TEST_F(ServiceTest, ReloadInvalidatesResultCache) {
   EXPECT_FALSE(service_->Compress(req).cache_hit);
 }
 
+/// A one-shot process reads back the artifact and result its service
+/// computed. Under a tight budget the result can evict the artifact it was
+/// computed from; the one-shot options never evict.
+TEST_F(ServiceTest, OneShotOptionsKeepWhatTheServiceComputed) {
+  CompressRequest req;
+  req.artifact = "ex";
+  req.forest = "plans";
+  req.bound = polys_.SizeM() - 1;
+  LoadRequest load;
+  load.artifact = "ex";
+  load.polys_bytes = polys_bytes_;
+  load.forests = {{"plans", plans_bytes_}};
+
+  ServiceOptions tight;
+  tight.cache_bytes = 1;
+  tight.cache_shards = 1;
+  ProvenanceService evicting(tight);
+  ASSERT_TRUE(evicting.Load(load).ok());
+  ASSERT_TRUE(evicting.Compress(req).ok());
+  EXPECT_EQ(evicting.store().Get("ex"), nullptr);
+
+  ProvenanceService one_shot(ServiceOptions::OneShot());
+  ASSERT_TRUE(one_shot.Load(load).ok());
+  ASSERT_TRUE(one_shot.Compress(req).ok());
+  std::shared_ptr<const Artifact> artifact = one_shot.store().Get("ex");
+  ASSERT_NE(artifact, nullptr);
+  EXPECT_NE(one_shot.store().PeekResult({"ex", artifact->generation, "plans",
+                                         req.bound, "opt"}),
+            nullptr);
+  EXPECT_EQ(one_shot.Info({}).stats.evictions, 0u);
+  // Only the language's own ceiling bounds a scenario family.
+  EXPECT_EQ(ServiceOptions::OneShot().max_scenarios_per_request,
+            scenario::kMaxScenarioFamily);
+}
+
 TEST_F(ServiceTest, EvaluateRawAndCompressed) {
   EvaluateRequest req;
   req.artifact = "ex";

@@ -2,9 +2,14 @@
 /// pipeline, mirroring the paper's deployment story: a producer generates
 /// provenance once (`generate`), compresses it under a bound (`compress`),
 /// and ships compact binary artifacts to analysts, who inspect (`info`,
-/// `tradeoff`) and run what-if scenarios (`evaluate`) locally — or, with
-/// the `remote-*` subcommands, against a long-lived `provabs_server` that
-/// keeps artifacts and compressed results resident (see docs/SERVER.md).
+/// `tradeoff`) and run what-if scenarios (`evaluate`, `scenario`).
+///
+/// Every verb that has a server counterpart runs one pipeline: it builds
+/// the wire request from its flags, sends it through a Channel and prints
+/// the decoded response. The `remote-*` forms send it to a long-lived
+/// `provabs_server` (see docs/SERVER.md); the offline forms send it to a
+/// ProvenanceService inside this process, loaded from the --in/--forest
+/// files, so both forms compute and print the same answers.
 
 #include <algorithm>
 #include <cerrno>
@@ -13,21 +18,19 @@
 #include <cstring>
 #include <initializer_list>
 #include <map>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "algo/compressor.h"
-#include "algo/optimal_single_tree.h"
-#include "algo/tradeoff_curve.h"
 #include "common/timer.h"
 #include "core/evaluation_backend.h"
-#include "core/valuation.h"
 #include "io/serializer.h"
-#include "online/online_compressor.h"
 #include "scenario/parser.h"
 #include "scenario/program.h"
 #include "server/client.h"
+#include "server/provenance_service.h"
 #include "server/wire_protocol.h"
 #include "workload/telephony.h"
 #include "workload/tpch.h"
@@ -45,7 +48,7 @@ const char kUsage[] =
     "      [--forest-out F.bin]\n"
     "  info --in P.bin\n"
     "  compress --in P.bin --forest F.bin --bound N\n"
-    "      [--algo NAME] [--budget-ms MS] [--vvs-out V.bin] [--out C.bin]\n"
+    "      [--algo NAME] [--vvs-out V.bin] [--out C.bin]\n"
     "  append --in P.bin --add EXTRA.bin [--out MERGED.bin]\n"
     "      [--forest F.bin --bound N]   (with a forest and bound, the\n"
     "       compression is re-derived incrementally from the pre-append\n"
@@ -90,8 +93,8 @@ void PrintAlgoLine(std::FILE* out, const std::string& name,
   if (supports_tradeoff) caps += ", tradeoff";
   if (!produces_cut) caps += ", grouping";
   if (!deterministic) caps += ", randomized";
-  // Only the absence is worth a caller's attention: --budget-ms against
-  // such an algorithm would be silently ignored.
+  // Only the absence is worth a caller's attention: an anytime budget
+  // (CompressOptions::time_budget_ms) would be silently ignored.
   if (!supports_time_budget) caps += ", no-time-budget";
   std::fprintf(out, "  %-8s %s%s\n", name.c_str(), summary.c_str(),
                caps.c_str());
@@ -160,6 +163,7 @@ bool ValidateEvalBackend(const std::string& backend, const char* cmd) {
 /// entries. Flags outside `allowed` (and bare non-flag words) are usage
 /// errors — a typo must never be silently ignored.
 struct Args {
+  const char* cmd = "";
   std::map<std::string, std::string> flags;
   std::vector<std::string> sets;
   bool help = false;
@@ -169,10 +173,14 @@ struct Args {
     auto it = flags.find(name);
     return it == flags.end() ? fallback : it->second.c_str();
   }
+
+  /// The `remote-*` form of a verb, answered by a provabs_server.
+  bool remote() const { return std::strncmp(cmd, "remote-", 7) == 0; }
 };
 
 bool ParseArgs(int argc, char** argv, int start, const char* cmd,
                std::initializer_list<const char*> allowed, Args* out) {
+  out->cmd = cmd;
   for (int i = start; i < argc; ++i) {
     std::string flag = argv[i];
     if (flag == "--help" || flag == "-h") {
@@ -260,12 +268,12 @@ int Fail(const Status& status) {
 /// Reads the scenario program source from --expr (literal text) or
 /// --expr-file (a path); exactly one of the two is required. Returns 0 and
 /// fills `out` on success; otherwise the exit code (2 usage, 1 I/O).
-int ReadProgramSource(const Args& args, const char* cmd, std::string* out) {
+int ReadProgramSource(const Args& args, std::string* out) {
   const char* expr = args.Get("expr");
   const char* expr_file = args.Get("expr-file");
   if ((expr == nullptr) == (expr_file == nullptr)) {
     std::fprintf(stderr, "%s requires exactly one of --expr / --expr-file\n",
-                 cmd);
+                 args.cmd);
     return 2;
   }
   if (expr != nullptr) {
@@ -280,7 +288,7 @@ int ReadProgramSource(const Args& args, const char* cmd, std::string* out) {
 
 /// Parses --shape / --top-k. Default shape is values; --top-k is only
 /// meaningful (and then mandatory, >= 1) with --shape topk.
-bool ParseShapeArgs(const Args& args, const char* cmd, ScenarioShape* shape,
+bool ParseShapeArgs(const Args& args, ScenarioShape* shape,
                     uint64_t* top_k) {
   const char* name = args.Get("shape", "values");
   std::string s = name;
@@ -295,13 +303,13 @@ bool ParseShapeArgs(const Args& args, const char* cmd, ScenarioShape* shape,
   } else {
     std::fprintf(stderr,
                  "%s: bad --shape '%s' (want values|argmin|argmax|topk)\n",
-                 cmd, name);
+                 args.cmd, name);
     return false;
   }
   const char* k = args.Get("top-k");
   if (*shape != ScenarioShape::kTopK) {
     if (k != nullptr) {
-      std::fprintf(stderr, "%s: --top-k requires --shape topk\n", cmd);
+      std::fprintf(stderr, "%s: --top-k requires --shape topk\n", args.cmd);
       return false;
     }
     *top_k = 0;
@@ -310,15 +318,15 @@ bool ParseShapeArgs(const Args& args, const char* cmd, ScenarioShape* shape,
   if (k == nullptr || !ParseUint64(k, top_k) || *top_k == 0) {
     std::fprintf(stderr,
                  "%s: --shape topk needs --top-k K (a positive integer)\n",
-                 cmd);
+                 args.cmd);
     return false;
   }
   return true;
 }
 
-/// Prints a compile/parse failure with the caret diagnostic the offset
-/// points at, matching compiler convention; callers exit 2 (usage error:
-/// the program text is an argument, and it is malformed).
+/// Prints a parse failure with the caret diagnostic the offset points at,
+/// matching compiler convention; callers exit 2 (usage error: the program
+/// text is an argument, and it is malformed).
 void PrintScenarioError(const char* cmd, const Status& status,
                         std::string_view source, size_t offset) {
   std::fprintf(stderr, "%s: %s\n%s\n", cmd, status.message().c_str(),
@@ -332,15 +340,11 @@ void PrintValueRow(const double* values, size_t count) {
   std::printf("\n");
 }
 
-// ----------------------------------------------------- offline pipeline --
+// ---------------------------------------------------- files, no service --
 
 int CmdGenerate(const Args& args) {
   const char* workload = args.Get("workload");
   const char* out = args.Get("out");
-  if (workload == nullptr || out == nullptr) {
-    std::fprintf(stderr, "generate requires --workload and --out\n");
-    return 2;
-  }
   double scale = 0;
   if (!ParseDouble(args.Get("scale", "0.2"), &scale) || scale <= 0) {
     std::fprintf(stderr, "generate: bad --scale '%s' (want a number > 0)\n",
@@ -408,10 +412,6 @@ int CmdGenerate(const Args& args) {
 
 int CmdInfo(const Args& args) {
   const char* in = args.Get("in");
-  if (in == nullptr) {
-    std::fprintf(stderr, "info requires --in\n");
-    return 2;
-  }
   auto data = ReadFileToString(in);
   if (!data.ok()) return Fail(data.status());
   VariableTable vars;
@@ -436,88 +436,245 @@ int CmdInfo(const Args& args) {
   return 0;
 }
 
-int CmdCompress(const Args& args) {
-  const char* in = args.Get("in");
-  const char* forest_path = args.Get("forest");
-  const char* bound_str = args.Get("bound");
-  if (in == nullptr || forest_path == nullptr || bound_str == nullptr) {
-    std::fprintf(stderr, "compress requires --in, --forest, --bound\n");
-    return 2;
+// ------------------------------------------------------------- channels --
+
+/// The artifact a verb's requests address: --name on a server, and the
+/// --in path for the artifact an offline verb loads into its own service.
+std::string ArtifactName(const Args& args) {
+  return args.Get(args.remote() ? "name" : "in");
+}
+
+/// The request remote-load sends, and the one that loads an offline verb's
+/// in-process service: --in's polynomials and --forest's forest (named
+/// --forest-name, default "default"), each when given.
+Status BuildLoadRequest(const Args& args, LoadRequest* req) {
+  req->artifact = ArtifactName(args);
+  if (const char* in = args.Get("in")) {
+    PROVABS_ASSIGN_OR_RETURN(req->polys_bytes, ReadFileToString(in));
   }
-  // Validate flags before touching the (possibly large) artifact files, so
-  // usage errors surface as usage errors — and before the compression
-  // runs, so an impossible flag combination never costs an algorithm run.
-  std::string algo = args.Get("algo", "opt");
-  if (!ValidateAlgo(algo, "compress")) return 2;
-  const Compressor* compressor = CompressorRegistry::Default().Find(algo);
-  if (args.Get("vvs-out") != nullptr && !compressor->info().produces_cut) {
+  if (const char* forest = args.Get("forest")) {
+    PROVABS_ASSIGN_OR_RETURN(std::string bytes, ReadFileToString(forest));
+    req->forests.emplace_back(args.Get("forest-name", "default"),
+                              std::move(bytes));
+  }
+  return Status::OK();
+}
+
+/// Where a verb's requests are answered: a provabs_server through a
+/// Client, or a ProvenanceService owned by this process. Either way a
+/// request travels encoded and its reply is read through DecodeReply, so
+/// offline verbs go through the same codec and service code a server runs.
+class Channel {
+ public:
+  /// Remote: validates --port (usage error) and connects. Local: loads
+  /// the --in/--forest files into a fresh service. Returns 0, or the exit
+  /// code after reporting the failure.
+  int Open(const Args& args) {
+    if (!args.remote()) {
+      LoadRequest load;
+      Status read = BuildLoadRequest(args, &load);
+      if (!read.ok()) return Fail(read);
+      service_ =
+          std::make_unique<ProvenanceService>(ServiceOptions::OneShot());
+      StatusOr<Response> loaded = Send(EncodeLoadRequest(load));
+      if (!loaded.ok()) return Fail(loaded.status());
+      return loaded->ok() ? 0 : Fail(loaded->ToStatus());
+    }
+    uint64_t port = 0;
+    if (!ParseUint64(args.Get("port"), &port) || port < 1 || port > 65535) {
+      std::fprintf(stderr, "%s: bad --port '%s' (want 1-65535)\n", args.cmd,
+                   args.Get("port"));
+      return 2;
+    }
+    // --timeout-ms bounds both the connect and every RPC on the
+    // connection; expiry surfaces as DeadlineExceeded, not a hang.
+    ClientOptions options;
+    if (const char* timeout = args.Get("timeout-ms")) {
+      uint64_t ms = 0;
+      if (!ParseUint64(timeout, &ms) || ms < 1 || ms > uint64_t{1} << 40) {
+        return Fail(Status::InvalidArgument(
+            std::string("bad --timeout-ms '") + timeout +
+            "' (want a positive millisecond count)"));
+      }
+      options.connect_timeout_ms = static_cast<int64_t>(ms);
+      options.rpc_timeout_ms = static_cast<int64_t>(ms);
+    }
+    StatusOr<Client> client = Client::Connect(
+        args.Get("host", "127.0.0.1"), static_cast<uint16_t>(port), options);
+    if (!client.ok()) return Fail(client.status());
+    client_.emplace(std::move(*client));
+    return 0;
+  }
+
+  /// Sends one encoded request. Returns 0 with `*resp` filled, or the exit
+  /// code after reporting the failure: 1 for a transport failure or a
+  /// server's error reply. In-process, an error reply judges this
+  /// invocation's own arguments against the files it loaded, so an
+  /// argument the service rejects (kInvalidArgument, kNotFound: an unknown
+  /// variable, an ill-typed program) is a usage error, 2, and anything
+  /// else (an infeasible bound) a runtime error, 1.
+  int Call(const std::string& payload, Response* resp) {
+    Timer timer;
+    StatusOr<Response> reply = Send(payload);
+    seconds_ = timer.ElapsedSeconds();
+    if (!reply.ok()) return Fail(reply.status());
+    *resp = std::move(*reply);
+    if (resp->ok()) return 0;
+    if (client_) {
+      std::fprintf(stderr, "server error: %s\n",
+                   resp->ToStatus().ToString().c_str());
+      return 1;
+    }
+    Fail(resp->ToStatus());
+    return resp->code == StatusCode::kInvalidArgument ||
+                   resp->code == StatusCode::kNotFound
+               ? 2
+               : 1;
+  }
+
+  /// Wall time of the last Call, for the verbs' timing lines.
+  double seconds() const { return seconds_; }
+
+  /// The in-process service, whose store holds what it computed, for the
+  /// file outputs only an offline verb writes; nullptr when remote.
+  ProvenanceService* service() { return service_.get(); }
+
+ private:
+  StatusOr<Response> Send(const std::string& payload) {
+    if (client_) return client_->Call(payload);
+    return DecodeReply(payload, service_->HandleFrame(payload, nullptr));
+  }
+
+  std::optional<Client> client_;
+  std::unique_ptr<ProvenanceService> service_;
+  double seconds_ = 0;
+};
+
+/// Opens the verb's channel and sends it one request; see Channel::Call.
+int OpenAndCall(const Args& args, Channel* channel, const std::string& payload,
+                Response* resp) {
+  if (int rc = channel->Open(args)) return rc;
+  return channel->Call(payload, resp);
+}
+
+// ----------------------------------- verbs shared by both channels --
+
+bool ParseBound(const Args& args, uint64_t* bound) {
+  if (ParseUint64(args.Get("bound"), bound)) return true;
+  std::fprintf(stderr, "%s: bad --bound '%s' (want a non-negative integer)\n",
+               args.cmd, args.Get("bound"));
+  return false;
+}
+
+/// The compression a request names: --bound, --algo (default opt) and
+/// --forest-name (default "default"). False after a usage error.
+template <class Req>
+bool ParseCompression(const Args& args, Req* req) {
+  req->forest = args.Get("forest-name", "default");
+  req->algo = args.Get("algo", "opt");
+  return ValidateAlgo(req->algo, args.cmd) && ParseBound(args, &req->bound);
+}
+
+/// With --bound, a what-if runs over the compressed view instead of the
+/// artifact. False after a usage error.
+template <class Req>
+bool ParseCompressedTarget(const Args& args, Req* req) {
+  if (args.Get("bound") != nullptr) {
+    req->compressed = true;
+    return ParseCompression(args, req);
+  }
+  if (args.Get("algo") != nullptr || args.Get("forest-name") != nullptr) {
+    // Without --bound these flags would be silently dropped; refuse.
+    std::fprintf(stderr, "%s: --algo/--forest-name require --bound\n",
+                 args.cmd);
+    return false;
+  }
+  return true;
+}
+
+/// ", compressed, cache: hit|dedup|miss" for a what-if over the
+/// compressed view; "" over the artifact itself.
+const char* CompressedTag(bool compressed, const Response& resp) {
+  return !compressed      ? ""
+         : resp.cache_hit ? ", compressed, cache: hit"
+         : resp.dedup_hit ? ", compressed, cache: dedup"
+                          : ", compressed, cache: miss";
+}
+
+// compress / remote-compress
+
+int BuildCompressRequest(const Args& args, CompressRequest* req) {
+  req->artifact = ArtifactName(args);
+  if (!ParseCompression(args, req)) return 2;
+  if (args.Get("vvs-out") != nullptr &&
+      !CompressorRegistry::Default().Find(req->algo)->info().produces_cut) {
     std::fprintf(stderr,
-                 "compress: --vvs-out requires a cut-based algorithm "
+                 "%s: --vvs-out requires a cut-based algorithm "
                  "('%s' produces a variable grouping)\n",
-                 algo.c_str());
+                 args.cmd, req->algo.c_str());
     return 2;
   }
-  VariableTable vars;
-  auto polys_data = ReadFileToString(in);
-  if (!polys_data.ok()) return Fail(polys_data.status());
-  auto polys = DeserializePolynomialSet(*polys_data, vars);
-  if (!polys.ok()) return Fail(polys.status());
-  auto forest_data = ReadFileToString(forest_path);
-  if (!forest_data.ok()) return Fail(forest_data.status());
-  auto forest = DeserializeForest(*forest_data, vars);
-  if (!forest.ok()) return Fail(forest.status());
+  return 0;
+}
 
-  uint64_t bound = 0;
-  if (!ParseUint64(bound_str, &bound)) {
-    std::fprintf(stderr,
-                 "compress: bad --bound '%s' (want a non-negative integer)\n",
-                 bound_str);
-    return 2;
-  }
-  CompressOptions copts;
-  copts.bound = bound;
-  if (const char* budget_str = args.Get("budget-ms")) {
-    if (!ParseUint64(budget_str, &copts.time_budget_ms) ||
-        copts.time_budget_ms == 0) {
-      std::fprintf(stderr,
-                   "compress: bad --budget-ms '%s' (want a positive integer)\n",
-                   budget_str);
-      return 2;
-    }
-  }
-  Timer timer;
-  StatusOr<CompressionResult> result =
-      compressor->Compress(*polys, *forest, copts);
-  if (!result.ok()) return Fail(result.status());
-  // An exhausted budget is not an error for the anytime algorithms: the
-  // cut is valid and its loss exact, only optimality was traded — but the
-  // caller must be able to see the trade happened.
-  std::string caveats;
-  if (result->budget_exhausted) caveats += " (budget exhausted: best-so-far)";
-  if (!result->adequate) caveats += " (bound not reached)";
-  std::printf("%s: ML=%zu VL=%zu%s in %.3fs\n", algo.c_str(),
-              result->loss.monomial_loss, result->loss.variable_loss,
-              caveats.c_str(), timer.ElapsedSeconds());
-  std::printf("VVS: %s\n", result->Describe(*forest, vars).c_str());
+void PrintCompressResponse(const CompressRequest& req, const Response& resp,
+                           double elapsed) {
+  std::printf("%s: ML=%llu VL=%llu%s in %.3fs\n", req.algo.c_str(),
+              static_cast<unsigned long long>(resp.monomial_loss),
+              static_cast<unsigned long long>(resp.variable_loss),
+              resp.adequate ? "" : " (bound not reached)", elapsed);
+  std::printf("VVS: %s\n", resp.vvs.c_str());
+  std::printf("compressed size: %llu monomials\n",
+              static_cast<unsigned long long>(resp.compressed_monomials));
+  std::printf("cache: %s (%llu hits, %llu misses)\n",
+              resp.cache_hit ? "hit" : "miss",
+              static_cast<unsigned long long>(resp.stats.result_hits),
+              static_cast<unsigned long long>(resp.stats.result_misses));
+  // Four disjoint outcomes: answered from cache, waited on an identical
+  // request's in-flight run (dedup), patched a cached predecessor
+  // generation's DP state, or ran the full DP on the service's thread.
+  std::printf("single-flight: %s (%llu dedup hits total)\n",
+              resp.cache_hit     ? "cache hit, no DP involved"
+              : resp.dedup_hit   ? "waited on an in-flight DP"
+              : resp.delta_patched
+                  ? "patched a predecessor generation (full DP skipped)"
+                  : "ran the DP",
+              static_cast<unsigned long long>(resp.stats.dedup_hits));
+}
 
-  if (const char* vvs_out = args.Get("vvs-out")) {
-    if (result->grouping) {
-      // Unreachable for the built-ins (caught pre-run via produces_cut);
-      // guards third-party compressors whose metadata lies.
-      std::fprintf(stderr,
-                   "compress: --vvs-out requires a cut-based algorithm "
-                   "('%s' produced a variable grouping)\n",
-                   algo.c_str());
-      return 2;
-    }
-    Status w = WriteFile(vvs_out, SerializeVvs(result->vvs, *forest, vars));
+/// compress's file outputs, which only an offline run writes: they read
+/// the result the in-process service computed for `req` from its store.
+int WriteCompressFiles(const Args& args, ProvenanceService& service,
+                       const CompressRequest& req) {
+  const char* vvs_out = args.Get("vvs-out");
+  const char* out = args.Get("out");
+  if (vvs_out == nullptr && out == nullptr) return 0;
+  std::shared_ptr<const Artifact> artifact = service.store().Get(req.artifact);
+  std::shared_ptr<const ArtifactStore::CompressedResult> cached =
+      artifact == nullptr
+          ? nullptr
+          : service.store().PeekResult({req.artifact, artifact->generation,
+                                        req.forest, req.bound, req.algo});
+  if (cached == nullptr) {
+    return Fail(Status::Internal("the compressed result left the store"));
+  }
+  const AbstractionForest& forest = *artifact->FindForest(req.forest);
+  if (vvs_out != nullptr) {
+    Status w = WriteFile(vvs_out, SerializeVvs(cached->algo_result.vvs,
+                                               forest, *artifact->vars));
     if (!w.ok()) return Fail(w);
   }
-  if (const char* out = args.Get("out")) {
+  if (out != nullptr) {
     // Grouping results synthesize group representatives outside the
-    // variable table; intern them so the compressed set serializes.
-    result->InternGrouping(vars);
-    PolynomialSet compressed = result->Apply(*forest, *polys);
+    // variable table; intern them into a copy so the compressed set
+    // serializes.
+    VariableTable vars;
+    for (VariableId id = 0; id < artifact->vars->size(); ++id) {
+      vars.Intern(artifact->vars->NameOf(id));
+    }
+    CompressionResult result = cached->algo_result;
+    result.InternGrouping(vars);
+    PolynomialSet compressed = result.Apply(forest, artifact->polys);
     Status w = WriteFile(out, SerializePolynomialSet(compressed, vars));
     if (!w.ok()) return Fail(w);
     std::printf("wrote %s: %zu monomials\n", out, compressed.SizeM());
@@ -525,328 +682,233 @@ int CmdCompress(const Args& args) {
   return 0;
 }
 
-/// Offline mirror of the server's incremental-update path: compress the
-/// base artifact once (retaining the DP state on the result), append the
-/// extra polynomials through the delta log, then re-derive the compression
-/// with OptimalRecompress — the full DP runs again only when a patch gate
-/// declines (the printed fallback reason names which one).
-int CmdAppend(const Args& args) {
-  const char* in = args.Get("in");
-  const char* add = args.Get("add");
-  if (in == nullptr || add == nullptr) {
-    std::fprintf(stderr, "append requires --in and --add\n");
-    return 2;
+int CmdCompress(const Args& args) {
+  CompressRequest req;
+  if (int rc = BuildCompressRequest(args, &req)) return rc;
+  Channel channel;
+  Response resp;
+  if (int rc = OpenAndCall(args, &channel, EncodeCompressRequest(req), &resp)) {
+    return rc;
   }
-  const char* forest_path = args.Get("forest");
-  const char* bound_str = args.Get("bound");
-  if ((forest_path == nullptr) != (bound_str == nullptr)) {
+  PrintCompressResponse(req, resp, channel.seconds());
+  if (channel.service() == nullptr) return 0;
+  return WriteCompressFiles(args, *channel.service(), req);
+}
+
+// append / remote-append
+
+/// The extra polynomials: remote-append's --in, or append's --add (append's
+/// --in is the artifact it grows).
+int BuildAppendRequest(const Args& args, AppendRequest* req) {
+  req->artifact = ArtifactName(args);
+  auto data = ReadFileToString(args.Get(args.remote() ? "in" : "add"));
+  if (!data.ok()) return Fail(data.status());
+  req->polys_bytes = std::move(*data);
+  return 0;
+}
+
+void PrintAppendResponse(const AppendRequest& req, const Response& resp) {
+  std::printf("appended to '%s' (generation %llu): now %llu polynomials, "
+              "%llu monomials, %llu variables\n",
+              req.artifact.c_str(),
+              static_cast<unsigned long long>(resp.generation),
+              static_cast<unsigned long long>(resp.poly_count),
+              static_cast<unsigned long long>(resp.monomial_count),
+              static_cast<unsigned long long>(resp.variable_count));
+}
+
+/// Offline, with --forest and --bound, the artifact is compressed before
+/// the append (so the service caches the DP state) and again after it:
+/// the second compression patches that state unless a patch gate
+/// declines, and its single-flight line says which happened.
+int CmdAppend(const Args& args) {
+  const bool recompress = args.Get("bound") != nullptr;
+  if (recompress != (args.Get("forest") != nullptr)) {
     std::fprintf(stderr, "append: --forest and --bound go together\n");
     return 2;
   }
-  uint64_t bound = 0;
-  if (bound_str != nullptr && !ParseUint64(bound_str, &bound)) {
-    std::fprintf(stderr,
-                 "append: bad --bound '%s' (want a non-negative integer)\n",
-                 bound_str);
-    return 2;
+  CompressRequest compress;
+  if (recompress) {
+    if (int rc = BuildCompressRequest(args, &compress)) return rc;
   }
-
-  VariableTable vars;
-  auto base_data = ReadFileToString(in);
-  if (!base_data.ok()) return Fail(base_data.status());
-  auto polys = DeserializePolynomialSet(*base_data, vars);
-  if (!polys.ok()) return Fail(polys.status());
-  auto add_data = ReadFileToString(add);
-  if (!add_data.ok()) return Fail(add_data.status());
-  auto extra = DeserializePolynomialSet(*add_data, vars);
-  if (!extra.ok()) return Fail(extra.status());
-
-  std::optional<CompressionResult> before;
-  AbstractionForest forest;
-  if (forest_path != nullptr) {
-    auto forest_data = ReadFileToString(forest_path);
-    if (!forest_data.ok()) return Fail(forest_data.status());
-    auto parsed = DeserializeForest(*forest_data, vars);
-    if (!parsed.ok()) return Fail(parsed.status());
-    forest = std::move(*parsed);
-    auto pre = OptimalSingleTree(*polys, forest, 0, bound);
-    if (!pre.ok()) return Fail(pre.status());
-    before = std::move(*pre);
-  }
-
-  const uint64_t base_revision = polys->revision();
-  for (const Polynomial& p : extra->polynomials()) polys->Add(p);
-  std::printf("appended %zu polynomials: now %zu polynomials, %zu "
-              "monomials, %zu variables\n",
-              extra->count(), polys->count(), polys->SizeM(),
-              polys->SizeV());
-
-  if (forest_path != nullptr) {
-    PolynomialSetDelta delta = polys->DeltaSince(base_revision);
-    Timer timer;
-    RecompressFallback fallback = RecompressFallback::kNone;
-    StatusOr<CompressionResult> result = OptimalRecompress(
-        *polys, forest, *before, delta, bound, &fallback);
-    if (fallback != RecompressFallback::kNone) {
-      std::printf("recompress: fallback to the full DP (%s)\n",
-                  RecompressFallbackName(fallback));
-      timer = Timer();
-      result = OptimalSingleTree(*polys, forest, 0, bound);
+  Channel channel;
+  if (int rc = channel.Open(args)) return rc;
+  // Read the extra polynomials before any DP runs, so a bad path fails
+  // fast; the port was validated first, as in remote-load.
+  AppendRequest req;
+  if (int rc = BuildAppendRequest(args, &req)) return rc;
+  Response resp;
+  if (recompress) {
+    if (int rc = channel.Call(EncodeCompressRequest(compress), &resp)) {
+      return rc;
     }
-    if (!result.ok()) return Fail(result.status());
-    std::printf("%s: ML=%zu VL=%zu%s in %.3fs\n",
-                fallback == RecompressFallback::kNone ? "opt (patched)"
-                                                      : "opt (full)",
-                result->loss.monomial_loss, result->loss.variable_loss,
-                result->adequate ? "" : " (bound not reached)",
-                timer.ElapsedSeconds());
-    std::printf("VVS: %s\n", result->Describe(forest, vars).c_str());
   }
-
+  if (int rc = channel.Call(EncodeAppendRequest(req), &resp)) return rc;
+  PrintAppendResponse(req, resp);
+  if (recompress) {
+    if (int rc = channel.Call(EncodeCompressRequest(compress), &resp)) {
+      return rc;
+    }
+    PrintCompressResponse(compress, resp, channel.seconds());
+  }
   if (const char* out = args.Get("out")) {
-    Status w = WriteFile(out, SerializePolynomialSet(*polys, vars));
+    std::shared_ptr<const Artifact> merged =
+        channel.service()->store().Get(req.artifact);
+    if (merged == nullptr) {
+      return Fail(Status::Internal("the appended artifact left the store"));
+    }
+    Status w = WriteFile(out, SerializePolynomialSet(merged->polys,
+                                                     *merged->vars));
     if (!w.ok()) return Fail(w);
-    std::printf("wrote %s: %zu monomials\n", out, polys->SizeM());
+    std::printf("wrote %s: %zu monomials\n", out, merged->polys.SizeM());
   }
   return 0;
+}
+
+// tradeoff / remote-tradeoff
+
+TradeoffRequest BuildTradeoffRequest(const Args& args) {
+  return {ArtifactName(args), args.Get("forest-name", "default")};
+}
+
+void PrintTradeoffResponse(const Response& resp) {
+  std::printf("%12s %14s\n", "size |P'|_M", "variable loss");
+  for (const TradeoffPoint& p : resp.points) {
+    std::printf("%12zu %14zu\n", p.size_m, p.variable_loss);
+  }
 }
 
 int CmdTradeoff(const Args& args) {
-  const char* in = args.Get("in");
-  const char* forest_path = args.Get("forest");
-  if (in == nullptr || forest_path == nullptr) {
-    std::fprintf(stderr, "tradeoff requires --in and --forest\n");
-    return 2;
+  Channel channel;
+  Response resp;
+  if (int rc = OpenAndCall(args, &channel,
+                           EncodeTradeoffRequest(BuildTradeoffRequest(args)),
+                           &resp)) {
+    return rc;
   }
-  VariableTable vars;
-  auto polys_data = ReadFileToString(in);
-  if (!polys_data.ok()) return Fail(polys_data.status());
-  auto polys = DeserializePolynomialSet(*polys_data, vars);
-  if (!polys.ok()) return Fail(polys.status());
-  auto forest_data = ReadFileToString(forest_path);
-  if (!forest_data.ok()) return Fail(forest_data.status());
-  auto forest = DeserializeForest(*forest_data, vars);
-  if (!forest.ok()) return Fail(forest.status());
-
-  auto curve = OptimalTradeoffCurve(*polys, *forest, 0);
-  if (!curve.ok()) return Fail(curve.status());
-  std::printf("%12s %14s\n", "size |P'|_M", "variable loss");
-  for (const TradeoffPoint& p : *curve) {
-    std::printf("%12zu %14zu\n", p.size_m, p.variable_loss);
-  }
+  PrintTradeoffResponse(resp);
   return 0;
+}
+
+// evaluate / remote-evaluate
+
+int BuildEvaluateRequest(const Args& args, EvaluateRequest* req) {
+  req->artifact = ArtifactName(args);
+  req->eval_backend = args.Get("eval-backend", "");
+  if (!ValidateEvalBackend(req->eval_backend, args.cmd)) return 2;
+  for (const std::string& assignment : args.sets) {
+    size_t eq = assignment.find('=');
+    double value = 0;
+    if (eq == std::string::npos ||
+        !ParseDouble(assignment.substr(eq + 1).c_str(), &value)) {
+      std::fprintf(stderr, "%s: bad --set '%s' (want var=number)\n",
+                   args.cmd, assignment.c_str());
+      return 2;
+    }
+    req->assignments.emplace_back(assignment.substr(0, eq), value);
+  }
+  return ParseCompressedTarget(args, req) ? 0 : 2;
+}
+
+void PrintEvaluateResponse(const EvaluateRequest& req, const Response& resp,
+                           double elapsed) {
+  for (size_t i = 0; i < resp.values.size(); ++i) {
+    std::printf("polynomial %zu: %.6f\n", i, resp.values[i]);
+  }
+  std::printf("(%zu polynomials in %.4fs%s, backend: %s)\n",
+              resp.values.size(), elapsed,
+              CompressedTag(req.compressed, resp), resp.eval_backend.c_str());
 }
 
 int CmdEvaluate(const Args& args) {
-  const char* in = args.Get("in");
-  if (in == nullptr) {
-    std::fprintf(stderr, "evaluate requires --in\n");
+  EvaluateRequest req;
+  if (int rc = BuildEvaluateRequest(args, &req)) return rc;
+  Channel channel;
+  Response resp;
+  if (int rc = OpenAndCall(args, &channel, EncodeEvaluateRequest(req), &resp)) {
+    return rc;
+  }
+  PrintEvaluateResponse(req, resp, channel.seconds());
+  return 0;
+}
+
+// scenario / remote-scenario
+
+/// Also fills `params`, the program's scenario space: the program is
+/// parsed here, so a syntax or domain error gets its caret diagnostic and
+/// exit 2 without a round trip, and a shaped reply's winners can be
+/// printed with the parameter assignments that produced them.
+int BuildScenarioRequest(const Args& args,
+                         EvaluateScenarioProgramRequest* req,
+                         scenario::ParamSpace* params) {
+  req->artifact = ArtifactName(args);
+  req->eval_backend = args.Get("eval-backend", "");
+  if (!ValidateEvalBackend(req->eval_backend, args.cmd)) return 2;
+  if (!ParseShapeArgs(args, &req->shape, &req->top_k)) return 2;
+  if (int rc = ReadProgramSource(args, &req->program)) return rc;
+  size_t error_offset = 0;
+  StatusOr<scenario::ProgramAst> ast =
+      scenario::Parse(req->program, &error_offset);
+  StatusOr<scenario::ParamSpace> space =
+      ast.ok() ? scenario::ParamSpace::Build(*ast, &error_offset)
+               : StatusOr<scenario::ParamSpace>(ast.status());
+  if (!space.ok()) {
+    PrintScenarioError(args.cmd, space.status(), req->program, error_offset);
     return 2;
   }
-  std::string backend = args.Get("eval-backend", "");
-  if (!ValidateEvalBackend(backend, "evaluate")) return 2;
-  VariableTable vars;
-  auto polys_data = ReadFileToString(in);
-  if (!polys_data.ok()) return Fail(polys_data.status());
-  auto polys = DeserializePolynomialSet(*polys_data, vars);
-  if (!polys.ok()) return Fail(polys.status());
+  *params = std::move(*space);
+  return ParseCompressedTarget(args, req) ? 0 : 2;
+}
 
-  Valuation val;
-  for (const std::string& assignment : args.sets) {
-    size_t eq = assignment.find('=');
-    if (eq == std::string::npos) {
-      std::fprintf(stderr, "bad --set '%s' (want var=value)\n",
-                   assignment.c_str());
-      return 2;
+void PrintScenarioResponse(const EvaluateScenarioProgramRequest& req,
+                           const scenario::ParamSpace& params,
+                           const Response& resp, double elapsed) {
+  const bool shaped = req.shape != ScenarioShape::kValues;
+  const size_t rows =
+      shaped ? resp.scenario_indices.size()
+             : static_cast<size_t>(resp.scenario_count);
+  const size_t poly_count = rows == 0 ? 0 : resp.values.size() / rows;
+  std::vector<double> assignment(params.names().size());
+  for (size_t i = 0; i < rows; ++i) {
+    const double* values = resp.values.data() + i * poly_count;
+    if (!shaped) {
+      std::printf("scenario %zu: ", i);
+      PrintValueRow(values, poly_count);
+      continue;
     }
-    std::string name = assignment.substr(0, eq);
-    VariableId id = vars.Find(name);
-    if (id == kInvalidVariable) {
-      std::fprintf(stderr, "unknown variable '%s'\n", name.c_str());
-      return 2;
+    std::printf("scenario %llu: objective %.6f\n",
+                static_cast<unsigned long long>(resp.scenario_indices[i]),
+                resp.objectives[i]);
+    // The parameter assignment that produced this scenario — the answer
+    // an analyst actually wants from argmin/argmax.
+    params.Decode(resp.scenario_indices[i], assignment.data());
+    for (size_t p = 0; p < assignment.size(); ++p) {
+      std::printf("  %s = %.6f\n", params.names()[p].c_str(), assignment[p]);
     }
-    double value = 0;
-    if (!ParseDouble(assignment.substr(eq + 1).c_str(), &value)) {
-      std::fprintf(stderr, "bad --set '%s' (value is not a number)\n",
-                   assignment.c_str());
-      return 2;
-    }
-    val.Set(id, value);
+    std::printf("  values: ");
+    PrintValueRow(values, poly_count);
   }
-
-  Timer timer;
-  // Routed through the evaluation-backend registry; all backends return
-  // bitwise identical values, so --eval-backend only selects a strategy.
-  StatusOr<std::vector<std::vector<double>>> results =
-      EvaluateScenarios(*polys, {val}, backend);
-  if (!results.ok()) return Fail(results.status());
-  double elapsed = timer.ElapsedSeconds();
-  const std::vector<double>& answers = results->front();
-  for (size_t i = 0; i < answers.size(); ++i) {
-    std::printf("polynomial %zu: %.6f\n", i, answers[i]);
-  }
-  std::printf("(%zu polynomials in %.4fs%s%s)\n", answers.size(), elapsed,
-              backend.empty() ? "" : ", backend: ",
-              backend.c_str());
-  return 0;
+  std::printf("(%llu scenarios in %.4fs, program cache: %s%s, backend: %s)\n",
+              static_cast<unsigned long long>(resp.scenario_count), elapsed,
+              resp.program_cache_hit ? "hit" : "miss",
+              CompressedTag(req.compressed, resp), resp.eval_backend.c_str());
 }
 
 int CmdScenario(const Args& args) {
-  const char* in = args.Get("in");
-  if (in == nullptr) {
-    std::fprintf(stderr, "scenario requires --in\n");
-    return 2;
+  EvaluateScenarioProgramRequest req;
+  scenario::ParamSpace params;
+  if (int rc = BuildScenarioRequest(args, &req, &params)) return rc;
+  Channel channel;
+  Response resp;
+  if (int rc = OpenAndCall(args, &channel,
+                           EncodeEvaluateScenarioProgramRequest(req), &resp)) {
+    return rc;
   }
-  std::string backend = args.Get("eval-backend", "");
-  if (!ValidateEvalBackend(backend, "scenario")) return 2;
-  ScenarioShape shape = ScenarioShape::kValues;
-  uint64_t top_k = 0;
-  if (!ParseShapeArgs(args, "scenario", &shape, &top_k)) return 2;
-  std::string source;
-  if (int rc = ReadProgramSource(args, "scenario", &source)) return rc;
-
-  VariableTable vars;
-  auto polys_data = ReadFileToString(in);
-  if (!polys_data.ok()) return Fail(polys_data.status());
-  auto polys = DeserializePolynomialSet(*polys_data, vars);
-  if (!polys.ok()) return Fail(polys.status());
-  auto compiled = polys->Compiled();
-
-  size_t error_offset = 0;
-  auto program =
-      scenario::ScenarioProgram::Compile(source, compiled, vars,
-                                         &error_offset);
-  if (!program.ok()) {
-    PrintScenarioError("scenario", program.status(), source, error_offset);
-    return 2;
-  }
-  const uint64_t total = program->scenario_count();
-  const size_t poly_count = compiled->poly_count();
-
-  struct Pick {
-    uint64_t index;
-    double objective;
-    std::vector<double> values;
-  };
-  const bool shaped = shape != ScenarioShape::kValues;
-  const uint64_t keep = shape == ScenarioShape::kTopK ? top_k : 1;
-  auto better = [shape](const Pick& a, const Pick& b) {
-    if (a.objective != b.objective) {
-      return shape == ScenarioShape::kArgmin ? a.objective < b.objective
-                                             : a.objective > b.objective;
-    }
-    return a.index < b.index;
-  };
-  std::vector<Pick> picks;
-
-  Timer timer;
-  constexpr uint64_t kChunk = 1024;
-  for (uint64_t begin = 0; begin < total; begin += kChunk) {
-    const uint64_t end = std::min(total, begin + kChunk);
-    std::vector<DenseValuation> chunk;
-    Status expand = program->ExpandChunk(begin, end, &chunk);
-    if (!expand.ok()) return Fail(expand);
-    const size_t n = chunk.size();
-    StatusOr<BackendRoute> route =
-        EvaluationBackendRegistry::Default().Route(backend, *compiled, n);
-    if (!route.ok()) return Fail(route.status());
-    std::vector<const DenseValuation*> ptrs(n);
-    std::vector<std::vector<double>> outs(n,
-                                          std::vector<double>(poly_count));
-    std::vector<double*> out_ptrs(n);
-    for (size_t i = 0; i < n; ++i) {
-      ptrs[i] = &chunk[i];
-      out_ptrs[i] = outs[i].data();
-    }
-    Status eval = route->EvaluateBatch(*compiled, 0, poly_count, ptrs.data(),
-                                       out_ptrs.data(), n);
-    if (!eval.ok()) return Fail(eval);
-    for (size_t i = 0; i < n; ++i) {
-      if (!shaped) {
-        std::printf("scenario %llu: ",
-                    static_cast<unsigned long long>(begin + i));
-        PrintValueRow(outs[i].data(), poly_count);
-        continue;
-      }
-      double objective = 0.0;
-      for (double v : outs[i]) objective += v;
-      picks.push_back(Pick{begin + i, objective, std::move(outs[i])});
-    }
-    if (shaped && picks.size() > keep) {
-      std::sort(picks.begin(), picks.end(), better);
-      picks.resize(static_cast<size_t>(keep));
-    }
-  }
-  double elapsed = timer.ElapsedSeconds();
-  if (shaped) {
-    std::sort(picks.begin(), picks.end(), better);
-    for (const Pick& pick : picks) {
-      std::printf("scenario %llu: objective %.6f\n",
-                  static_cast<unsigned long long>(pick.index),
-                  pick.objective);
-      // The parameter assignments that produced this scenario — the
-      // answer an analyst actually wants from argmin/argmax.
-      std::vector<double> params = program->ParamValues(pick.index);
-      for (size_t p = 0; p < params.size(); ++p) {
-        std::printf("  %s = %.6f\n", program->param_names()[p].c_str(),
-                    params[p]);
-      }
-      std::printf("  values: ");
-      PrintValueRow(pick.values.data(), pick.values.size());
-    }
-  }
-  std::printf("(%llu scenarios x %zu polynomials in %.4fs%s%s)\n",
-              static_cast<unsigned long long>(total), poly_count, elapsed,
-              backend.empty() ? "" : ", backend: ", backend.c_str());
+  PrintScenarioResponse(req, params, resp, channel.seconds());
   return 0;
 }
 
-// ---------------------------------------------------- remote subcommands --
-
-/// Parses the required --port flag strictly: missing, non-numeric, or
-/// out-of-range values are usage errors (-1 after a message), consistent
-/// with the "nothing is silently ignored" flag-parsing contract.
-long ParsePortArg(const Args& args, const char* cmd) {
-  const char* port = args.Get("port");
-  if (port == nullptr) {
-    std::fprintf(stderr, "%s requires --port\n", cmd);
-    return -1;
-  }
-  uint64_t value = 0;
-  if (!ParseUint64(port, &value) || value < 1 || value > 65535) {
-    std::fprintf(stderr, "%s: bad --port '%s' (want 1-65535)\n", cmd, port);
-    return -1;
-  }
-  return static_cast<long>(value);
-}
-
-/// Connects using --host (default 127.0.0.1) and a validated port.
-/// --timeout-ms, when given, bounds both the connect and every RPC on the
-/// connection; expiry surfaces as a DeadlineExceeded error, not a hang.
-StatusOr<Client> ConnectFromArgs(const Args& args, long port) {
-  ClientOptions options;
-  const char* timeout = args.Get("timeout-ms");
-  if (timeout != nullptr) {
-    uint64_t ms = 0;
-    if (!ParseUint64(timeout, &ms) || ms < 1 ||
-        ms > uint64_t{1} << 40) {
-      return Status::InvalidArgument(std::string("bad --timeout-ms '") +
-                                     timeout +
-                                     "' (want a positive millisecond count)");
-    }
-    options.connect_timeout_ms = static_cast<int64_t>(ms);
-    options.rpc_timeout_ms = static_cast<int64_t>(ms);
-  }
-  return Client::Connect(args.Get("host", "127.0.0.1"),
-                         static_cast<uint16_t>(port), options);
-}
-
-/// Prints a server-side error, if any; returns 0 when the response is OK.
-int CheckResponse(const Response& resp) {
-  if (resp.ok()) return 0;
-  std::fprintf(stderr, "server error: %s\n", resp.ToStatus().ToString().c_str());
-  return 1;
-}
+// ------------------------------------------------------ remote-only verbs --
 
 void PrintServerStats(const ServerStats& stats) {
   std::printf("server: %llu artifacts, %llu cached results, %llu bytes "
@@ -885,357 +947,78 @@ void PrintServerStats(const ServerStats& stats) {
 }
 
 int CmdRemoteLoad(const Args& args) {
-  const char* name = args.Get("name");
-  const char* in = args.Get("in");
-  const char* forest = args.Get("forest");
-  if (name == nullptr || (in == nullptr && forest == nullptr)) {
-    std::fprintf(stderr,
-                 "remote-load requires --name and --in and/or --forest\n");
+  if (args.Get("in") == nullptr && args.Get("forest") == nullptr) {
+    std::fprintf(stderr, "remote-load requires --in and/or --forest\n");
     return 2;
   }
-  if (forest == nullptr && args.Get("forest-name") != nullptr) {
+  if (args.Get("forest") == nullptr && args.Get("forest-name") != nullptr) {
     // Without --forest the name would be silently dropped; refuse.
     std::fprintf(stderr, "remote-load: --forest-name requires --forest\n");
     return 2;
   }
-  // Validate the port before touching the (possibly large) artifact files,
-  // so usage errors surface as usage errors.
-  long port = ParsePortArg(args, "remote-load");
-  if (port < 0) return 2;
+  // The port is validated before the (possibly large) files are read, so
+  // usage errors surface as usage errors.
+  Channel channel;
+  if (int rc = channel.Open(args)) return rc;
   LoadRequest req;
-  req.artifact = name;
-  if (in != nullptr) {
-    auto data = ReadFileToString(in);
-    if (!data.ok()) return Fail(data.status());
-    req.polys_bytes = std::move(*data);
-  }
-  if (forest != nullptr) {
-    auto data = ReadFileToString(forest);
-    if (!data.ok()) return Fail(data.status());
-    req.forests.emplace_back(args.Get("forest-name", "default"),
-                             std::move(*data));
-  }
-  auto client = ConnectFromArgs(args, port);
-  if (!client.ok()) return Fail(client.status());
-  auto resp = client->Load(req);
-  if (!resp.ok()) return Fail(resp.status());
-  if (int rc = CheckResponse(*resp)) return rc;
+  Status read = BuildLoadRequest(args, &req);
+  if (!read.ok()) return Fail(read);
+  Response resp;
+  if (int rc = channel.Call(EncodeLoadRequest(req), &resp)) return rc;
   std::printf("loaded '%s' (generation %llu): %llu polynomials, %llu "
               "monomials, %llu variables\n",
-              name, static_cast<unsigned long long>(resp->generation),
-              static_cast<unsigned long long>(resp->poly_count),
-              static_cast<unsigned long long>(resp->monomial_count),
-              static_cast<unsigned long long>(resp->variable_count));
-  return 0;
-}
-
-int CmdRemoteAppend(const Args& args) {
-  const char* name = args.Get("name");
-  const char* in = args.Get("in");
-  if (name == nullptr || in == nullptr) {
-    std::fprintf(stderr, "remote-append requires --name and --in\n");
-    return 2;
-  }
-  long port = ParsePortArg(args, "remote-append");
-  if (port < 0) return 2;
-  AppendRequest req;
-  req.artifact = name;
-  auto data = ReadFileToString(in);
-  if (!data.ok()) return Fail(data.status());
-  req.polys_bytes = std::move(*data);
-  auto client = ConnectFromArgs(args, port);
-  if (!client.ok()) return Fail(client.status());
-  auto resp = client->Append(req);
-  if (!resp.ok()) return Fail(resp.status());
-  if (int rc = CheckResponse(*resp)) return rc;
-  std::printf("appended to '%s' (generation %llu): now %llu polynomials, "
-              "%llu monomials, %llu variables\n",
-              name, static_cast<unsigned long long>(resp->generation),
-              static_cast<unsigned long long>(resp->poly_count),
-              static_cast<unsigned long long>(resp->monomial_count),
-              static_cast<unsigned long long>(resp->variable_count));
+              req.artifact.c_str(),
+              static_cast<unsigned long long>(resp.generation),
+              static_cast<unsigned long long>(resp.poly_count),
+              static_cast<unsigned long long>(resp.monomial_count),
+              static_cast<unsigned long long>(resp.variable_count));
   return 0;
 }
 
 int CmdRemoteInfo(const Args& args) {
-  long port = ParsePortArg(args, "remote-info");
-  if (port < 0) return 2;
-  auto client = ConnectFromArgs(args, port);
-  if (!client.ok()) return Fail(client.status());
   InfoRequest req;
   req.artifact = args.Get("name", "");
-  auto resp = client->Info(req);
-  if (!resp.ok()) return Fail(resp.status());
-  if (int rc = CheckResponse(*resp)) return rc;
+  Channel channel;
+  Response resp;
+  if (int rc = OpenAndCall(args, &channel, EncodeInfoRequest(req), &resp)) {
+    return rc;
+  }
   if (!req.artifact.empty()) {
     std::printf("artifact '%s' (generation %llu):\n", req.artifact.c_str(),
-                static_cast<unsigned long long>(resp->generation));
+                static_cast<unsigned long long>(resp.generation));
     std::printf("  polynomials : %llu\n",
-                static_cast<unsigned long long>(resp->poly_count));
+                static_cast<unsigned long long>(resp.poly_count));
     std::printf("  monomials   : %llu (|P|_M)\n",
-                static_cast<unsigned long long>(resp->monomial_count));
+                static_cast<unsigned long long>(resp.monomial_count));
     std::printf("  variables   : %llu (|P|_V)\n",
-                static_cast<unsigned long long>(resp->variable_count));
+                static_cast<unsigned long long>(resp.variable_count));
   }
-  PrintServerStats(resp->stats);
+  PrintServerStats(resp.stats);
   // The server's algorithm registry, so analysts discover what --algo
   // accepts without consulting the server's build.
-  auto algos = client->ListAlgos(ListAlgosRequest{});
-  if (!algos.ok()) return Fail(algos.status());
-  if (int rc = CheckResponse(*algos)) return rc;
+  if (int rc = channel.Call(EncodeListAlgosRequest({}), &resp)) return rc;
   std::printf("algorithms:\n");
-  for (const AlgoCapability& a : algos->algos) {
+  for (const AlgoCapability& a : resp.algos) {
     PrintAlgoLine(stdout, a.name, a.summary, a.deterministic,
                   a.supports_tradeoff, a.exact, a.produces_cut,
                   a.supports_time_budget);
   }
   // Likewise the evaluation-backend registry, for --eval-backend.
-  auto backends = client->ListBackends(ListBackendsRequest{});
-  if (!backends.ok()) return Fail(backends.status());
-  if (int rc = CheckResponse(*backends)) return rc;
+  if (int rc = channel.Call(EncodeListBackendsRequest({}), &resp)) return rc;
   std::printf("evaluation backends:\n");
-  for (const EvalBackendCapability& b : backends->backends) {
+  for (const EvalBackendCapability& b : resp.backends) {
     PrintBackendLine(stdout, b.name, b.summary, b.vectorized,
                      b.deterministic, b.preferred_batch);
   }
   return 0;
 }
 
-int CmdRemoteCompress(const Args& args) {
-  const char* name = args.Get("name");
-  const char* bound = args.Get("bound");
-  if (name == nullptr || bound == nullptr) {
-    std::fprintf(stderr, "remote-compress requires --name and --bound\n");
-    return 2;
-  }
-  CompressRequest req;
-  req.artifact = name;
-  req.forest = args.Get("forest-name", "default");
-  req.algo = args.Get("algo", "opt");
-  if (!ValidateAlgo(req.algo, "remote-compress")) return 2;
-  if (!ParseUint64(bound, &req.bound)) {
-    std::fprintf(
-        stderr,
-        "remote-compress: bad --bound '%s' (want a non-negative integer)\n",
-        bound);
-    return 2;
-  }
-  long port = ParsePortArg(args, "remote-compress");
-  if (port < 0) return 2;
-  auto client = ConnectFromArgs(args, port);
-  if (!client.ok()) return Fail(client.status());
-  Timer timer;
-  auto resp = client->Compress(req);
-  double elapsed = timer.ElapsedSeconds();
-  if (!resp.ok()) return Fail(resp.status());
-  if (int rc = CheckResponse(*resp)) return rc;
-  std::printf("%s: ML=%llu VL=%llu%s in %.3fs\n", req.algo.c_str(),
-              static_cast<unsigned long long>(resp->monomial_loss),
-              static_cast<unsigned long long>(resp->variable_loss),
-              resp->adequate ? "" : " (bound not reached)", elapsed);
-  std::printf("VVS: %s\n", resp->vvs.c_str());
-  std::printf("compressed size: %llu monomials\n",
-              static_cast<unsigned long long>(resp->compressed_monomials));
-  std::printf("cache: %s (%llu hits, %llu misses)\n",
-              resp->cache_hit ? "hit" : "miss",
-              static_cast<unsigned long long>(resp->stats.result_hits),
-              static_cast<unsigned long long>(resp->stats.result_misses));
-  // Four disjoint outcomes: answered from cache, waited on an identical
-  // request's in-flight run (dedup), patched a cached predecessor
-  // generation's DP state, or ran the full DP on the server thread.
-  std::printf("single-flight: %s (%llu dedup hits total)\n",
-              resp->cache_hit     ? "cache hit, no DP involved"
-              : resp->dedup_hit   ? "waited on an in-flight DP"
-              : resp->delta_patched
-                  ? "patched a predecessor generation (full DP skipped)"
-                  : "ran the DP",
-              static_cast<unsigned long long>(resp->stats.dedup_hits));
-  return 0;
-}
-
-int CmdRemoteEvaluate(const Args& args) {
-  const char* name = args.Get("name");
-  if (name == nullptr) {
-    std::fprintf(stderr, "remote-evaluate requires --name\n");
-    return 2;
-  }
-  EvaluateRequest req;
-  req.artifact = name;
-  req.eval_backend = args.Get("eval-backend", "");
-  if (!ValidateEvalBackend(req.eval_backend, "remote-evaluate")) return 2;
-  for (const std::string& assignment : args.sets) {
-    size_t eq = assignment.find('=');
-    if (eq == std::string::npos) {
-      std::fprintf(stderr, "bad --set '%s' (want var=value)\n",
-                   assignment.c_str());
-      return 2;
-    }
-    double value = 0;
-    if (!ParseDouble(assignment.substr(eq + 1).c_str(), &value)) {
-      std::fprintf(stderr, "bad --set '%s' (value is not a number)\n",
-                   assignment.c_str());
-      return 2;
-    }
-    req.assignments.emplace_back(assignment.substr(0, eq), value);
-  }
-  if (const char* bound = args.Get("bound")) {
-    req.compressed = true;
-    if (!ParseUint64(bound, &req.bound)) {
-      std::fprintf(
-          stderr,
-          "remote-evaluate: bad --bound '%s' (want a non-negative integer)\n",
-          bound);
-      return 2;
-    }
-    req.forest = args.Get("forest-name", "default");
-    req.algo = args.Get("algo", "opt");
-    if (!ValidateAlgo(req.algo, "remote-evaluate")) return 2;
-  } else if (args.Get("algo") != nullptr ||
-             args.Get("forest-name") != nullptr) {
-    // Without --bound these flags would be silently dropped; refuse.
-    std::fprintf(stderr,
-                 "remote-evaluate: --algo/--forest-name require --bound\n");
-    return 2;
-  }
-  long port = ParsePortArg(args, "remote-evaluate");
-  if (port < 0) return 2;
-  auto client = ConnectFromArgs(args, port);
-  if (!client.ok()) return Fail(client.status());
-  Timer timer;
-  auto resp = client->Evaluate(req);
-  double elapsed = timer.ElapsedSeconds();
-  if (!resp.ok()) return Fail(resp.status());
-  if (int rc = CheckResponse(*resp)) return rc;
-  for (size_t i = 0; i < resp->values.size(); ++i) {
-    std::printf("polynomial %zu: %.6f\n", i, resp->values[i]);
-  }
-  std::printf("(%zu polynomials in %.4fs%s, backend: %s)\n",
-              resp->values.size(), elapsed,
-              !req.compressed      ? ""
-              : resp->cache_hit    ? ", compressed, cache: hit"
-              : resp->dedup_hit    ? ", compressed, cache: dedup"
-                                   : ", compressed, cache: miss",
-              resp->eval_backend.c_str());
-  return 0;
-}
-
-int CmdRemoteScenario(const Args& args) {
-  const char* name = args.Get("name");
-  if (name == nullptr) {
-    std::fprintf(stderr, "remote-scenario requires --name\n");
-    return 2;
-  }
-  EvaluateScenarioProgramRequest req;
-  req.artifact = name;
-  req.eval_backend = args.Get("eval-backend", "");
-  if (!ValidateEvalBackend(req.eval_backend, "remote-scenario")) return 2;
-  if (!ParseShapeArgs(args, "remote-scenario", &req.shape, &req.top_k)) {
-    return 2;
-  }
-  if (int rc = ReadProgramSource(args, "remote-scenario", &req.program)) {
+int CmdRemoteShutdown(const Args& args) {
+  Channel channel;
+  Response resp;
+  if (int rc = OpenAndCall(args, &channel, EncodeShutdownRequest({}), &resp)) {
     return rc;
   }
-  // Syntax is checked locally for the caret-diagnostic contract (exit 2
-  // like the offline `scenario` command); semantic analysis needs the
-  // artifact's variables, which live server-side.
-  size_t error_offset = 0;
-  auto ast = scenario::Parse(req.program, &error_offset);
-  if (!ast.ok()) {
-    PrintScenarioError("remote-scenario", ast.status(), req.program,
-                       error_offset);
-    return 2;
-  }
-  if (const char* bound = args.Get("bound")) {
-    req.compressed = true;
-    if (!ParseUint64(bound, &req.bound)) {
-      std::fprintf(
-          stderr,
-          "remote-scenario: bad --bound '%s' (want a non-negative integer)\n",
-          bound);
-      return 2;
-    }
-    req.forest = args.Get("forest-name", "default");
-    req.algo = args.Get("algo", "opt");
-    if (!ValidateAlgo(req.algo, "remote-scenario")) return 2;
-  } else if (args.Get("algo") != nullptr ||
-             args.Get("forest-name") != nullptr) {
-    std::fprintf(stderr,
-                 "remote-scenario: --algo/--forest-name require --bound\n");
-    return 2;
-  }
-  long port = ParsePortArg(args, "remote-scenario");
-  if (port < 0) return 2;
-  auto client = ConnectFromArgs(args, port);
-  if (!client.ok()) return Fail(client.status());
-  Timer timer;
-  auto resp = client->EvaluateScenarioProgram(req);
-  double elapsed = timer.ElapsedSeconds();
-  if (!resp.ok()) return Fail(resp.status());
-  if (int rc = CheckResponse(*resp)) return rc;
-  if (req.shape == ScenarioShape::kValues) {
-    const size_t poly_count =
-        resp->scenario_count == 0
-            ? 0
-            : resp->values.size() / static_cast<size_t>(resp->scenario_count);
-    for (uint64_t s = 0; s < resp->scenario_count; ++s) {
-      std::printf("scenario %llu: ", static_cast<unsigned long long>(s));
-      PrintValueRow(resp->values.data() + s * poly_count, poly_count);
-    }
-  } else {
-    const size_t poly_count =
-        resp->scenario_indices.empty()
-            ? 0
-            : resp->values.size() / resp->scenario_indices.size();
-    for (size_t i = 0; i < resp->scenario_indices.size(); ++i) {
-      std::printf("scenario %llu: objective %.6f\n",
-                  static_cast<unsigned long long>(resp->scenario_indices[i]),
-                  resp->objectives[i]);
-      std::printf("  values: ");
-      PrintValueRow(resp->values.data() + i * poly_count, poly_count);
-    }
-  }
-  std::printf("(%llu scenarios in %.4fs, program cache: %s%s, backend: %s)\n",
-              static_cast<unsigned long long>(resp->scenario_count), elapsed,
-              resp->program_cache_hit ? "hit" : "miss",
-              !req.compressed      ? ""
-              : resp->cache_hit    ? ", compressed, cache: hit"
-              : resp->dedup_hit    ? ", compressed, cache: dedup"
-                                   : ", compressed, cache: miss",
-              resp->eval_backend.c_str());
-  return 0;
-}
-
-int CmdRemoteTradeoff(const Args& args) {
-  const char* name = args.Get("name");
-  if (name == nullptr) {
-    std::fprintf(stderr, "remote-tradeoff requires --name\n");
-    return 2;
-  }
-  TradeoffRequest req;
-  req.artifact = name;
-  req.forest = args.Get("forest-name", "default");
-  long port = ParsePortArg(args, "remote-tradeoff");
-  if (port < 0) return 2;
-  auto client = ConnectFromArgs(args, port);
-  if (!client.ok()) return Fail(client.status());
-  auto resp = client->Tradeoff(req);
-  if (!resp.ok()) return Fail(resp.status());
-  if (int rc = CheckResponse(*resp)) return rc;
-  std::printf("%12s %14s\n", "size |P'|_M", "variable loss");
-  for (const TradeoffPoint& p : resp->points) {
-    std::printf("%12zu %14zu\n", p.size_m, p.variable_loss);
-  }
-  return 0;
-}
-
-int CmdRemoteShutdown(const Args& args) {
-  long port = ParsePortArg(args, "remote-shutdown");
-  if (port < 0) return 2;
-  auto client = ConnectFromArgs(args, port);
-  if (!client.ok()) return Fail(client.status());
-  auto resp = client->Shutdown(ShutdownRequest{});
-  if (!resp.ok()) return Fail(resp.status());
-  if (int rc = CheckResponse(*resp)) return rc;
   std::printf("server shutting down\n");
   return 0;
 }
@@ -1246,37 +1029,49 @@ struct Command {
   const char* name;
   int (*fn)(const Args&);
   std::initializer_list<const char*> flags;
+  /// Flags the command cannot run without; checked before anything else.
+  std::initializer_list<const char*> required;
 };
 
 const Command kCommands[] = {
-    {"generate", CmdGenerate, {"workload", "scale", "fanouts", "out",
-                               "forest-out"}},
-    {"info", CmdInfo, {"in"}},
-    {"compress", CmdCompress, {"in", "forest", "bound", "algo", "budget-ms",
-                               "vvs-out", "out"}},
-    {"append", CmdAppend, {"in", "add", "out", "forest", "bound"}},
-    {"tradeoff", CmdTradeoff, {"in", "forest"}},
-    {"evaluate", CmdEvaluate, {"in", "set", "eval-backend"}},
-    {"scenario", CmdScenario, {"in", "expr", "expr-file", "shape", "top-k",
-                               "eval-backend"}},
-    {"remote-load", CmdRemoteLoad, {"host", "port", "name", "in", "forest",
-                                    "forest-name", "timeout-ms"}},
-    {"remote-append", CmdRemoteAppend, {"host", "port", "name", "in",
-                                        "timeout-ms"}},
-    {"remote-info", CmdRemoteInfo, {"host", "port", "name", "timeout-ms"}},
-    {"remote-compress", CmdRemoteCompress, {"host", "port", "name", "bound",
-                                            "algo", "forest-name",
-                                            "timeout-ms"}},
-    {"remote-evaluate", CmdRemoteEvaluate, {"host", "port", "name", "set",
-                                            "bound", "algo", "forest-name",
-                                            "eval-backend", "timeout-ms"}},
-    {"remote-scenario", CmdRemoteScenario, {"host", "port", "name", "expr",
-                                            "expr-file", "shape", "top-k",
-                                            "bound", "algo", "forest-name",
-                                            "eval-backend", "timeout-ms"}},
-    {"remote-tradeoff", CmdRemoteTradeoff, {"host", "port", "name",
-                                            "forest-name", "timeout-ms"}},
-    {"remote-shutdown", CmdRemoteShutdown, {"host", "port", "timeout-ms"}},
+    {"generate", CmdGenerate,
+     {"workload", "scale", "fanouts", "out", "forest-out"},
+     {"workload", "out"}},
+    {"info", CmdInfo, {"in"}, {"in"}},
+    {"compress", CmdCompress,
+     {"in", "forest", "bound", "algo", "vvs-out", "out"},
+     {"in", "forest", "bound"}},
+    {"append", CmdAppend, {"in", "add", "out", "forest", "bound"},
+     {"in", "add"}},
+    {"tradeoff", CmdTradeoff, {"in", "forest"}, {"in", "forest"}},
+    {"evaluate", CmdEvaluate, {"in", "set", "eval-backend"}, {"in"}},
+    {"scenario", CmdScenario,
+     {"in", "expr", "expr-file", "shape", "top-k", "eval-backend"},
+     {"in"}},
+    {"remote-load", CmdRemoteLoad,
+     {"host", "port", "name", "in", "forest", "forest-name", "timeout-ms"},
+     {"port", "name"}},
+    {"remote-append", CmdAppend,
+     {"host", "port", "name", "in", "timeout-ms"},
+     {"port", "name", "in"}},
+    {"remote-info", CmdRemoteInfo, {"host", "port", "name", "timeout-ms"},
+     {"port"}},
+    {"remote-compress", CmdCompress,
+     {"host", "port", "name", "bound", "algo", "forest-name", "timeout-ms"},
+     {"port", "name", "bound"}},
+    {"remote-evaluate", CmdEvaluate,
+     {"host", "port", "name", "set", "bound", "algo", "forest-name",
+      "eval-backend", "timeout-ms"},
+     {"port", "name"}},
+    {"remote-scenario", CmdScenario,
+     {"host", "port", "name", "expr", "expr-file", "shape", "top-k", "bound",
+      "algo", "forest-name", "eval-backend", "timeout-ms"},
+     {"port", "name"}},
+    {"remote-tradeoff", CmdTradeoff,
+     {"host", "port", "name", "forest-name", "timeout-ms"},
+     {"port", "name"}},
+    {"remote-shutdown", CmdRemoteShutdown, {"host", "port", "timeout-ms"},
+     {"port"}},
 };
 
 int Run(int argc, char** argv) {
@@ -1298,6 +1093,12 @@ int Run(int argc, char** argv) {
     if (args.help) {
       PrintUsage(stdout);
       return 0;
+    }
+    for (const char* flag : command.required) {
+      if (args.Get(flag) == nullptr) {
+        std::fprintf(stderr, "%s requires --%s\n", command.name, flag);
+        return 2;
+      }
     }
     return command.fn(args);
   }
